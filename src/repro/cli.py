@@ -548,7 +548,7 @@ def cmd_serve(args) -> int:
             retry_refill=args.retry_refill,
         )
     batching = None
-    if args.batching:
+    if args.max_batch != 1:
         from repro.serve import BatchingConfig
 
         try:
@@ -1141,16 +1141,12 @@ def build_parser() -> argparse.ArgumentParser:
         "(model, scene) pair on a device serve at the warm base latency",
     )
     p_serve.add_argument(
-        "--batching", action="store_true",
+        "--max-batch", type=int, default=1,
         help="deadline-aware dynamic batching: an idle device coalesces "
-        "queued same-model requests into one batched attempt, closing "
-        "the batch when the oldest member's slack minus the modeled "
-        "batch service time hits zero (off by default)",
-    )
-    p_serve.add_argument(
-        "--max-batch", type=int, default=4,
-        help="largest batch the scheduler may coalesce "
-        "(needs --batching; default %(default)s)",
+        "up to N queued same-model requests into one batched attempt, "
+        "closing the batch when the oldest member's slack minus the "
+        "modeled batch service time hits zero (default %(default)s: "
+        "one request per device, batching off)",
     )
     p_serve.add_argument(
         "--coherence", type=float, default=0.0,

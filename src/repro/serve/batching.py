@@ -21,10 +21,11 @@ Batch formation is *deadline-aware, not timer-based*:
   lead, where the same close rule fires immediately and it dispatches
   solo (a batch of one).
 
-``ServeConfig.batching=None`` (the default) keeps the scheduler
-entirely dormant: the legacy one-request pump runs, no extra RNG is
-drawn, no batch events are journaled, and same-seed campaigns stay
-bit-exact with pre-batching runs.
+``ServeConfig.batching=None`` (the default) is the degenerate case of
+the same scheduler: ``max_batch`` is 1, so every request is a batch of
+one that closes the instant it opens.  No extra RNG is drawn, no batch
+events are journaled, and same-seed campaigns stay bit-exact with
+pre-batching runs.
 """
 
 from __future__ import annotations
@@ -40,9 +41,10 @@ class BatchingConfig:
 
     Attributes:
         max_batch: largest number of requests one batched attempt may
-            carry.  ``1`` degenerates to per-request dispatch through
-            the batched code path (useful as an ablation baseline with
-            identical event kinds).
+            carry.  ``1`` dispatches one request per device, like
+            ``batching=None``, but still journals the batch events
+            (useful as an ablation baseline with identical event
+            kinds).
     """
 
     max_batch: int = 4

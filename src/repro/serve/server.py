@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -160,8 +160,8 @@ class ServeConfig:
     #: steady-state mode, same-scene) requests into one batched attempt
     #: priced by the oracle's sublinear
     #: :meth:`~repro.serve.cluster.LatencyOracle.batch_latency`.
-    #: ``None`` (default) keeps the one-request-per-device pump —
-    #: bit-exact with pre-batching campaigns.
+    #: ``None`` (default) runs the same pump with ``max_batch`` 1 and
+    #: writes no batch metadata — bit-exact with pre-batching campaigns.
     batching: BatchingConfig | None = None
     #: master switch of the domain-aware defense: domain breakers with
     #: mass quarantine, probe forgiveness during an open breaker, and
@@ -222,12 +222,12 @@ class ServeConfig:
 
 @dataclass
 class Attempt:
-    """One dispatch of a request (or a health probe) onto a device."""
+    """One dispatch of a batch of requests (or a health probe) onto a
+    device."""
 
     id: int
-    request: Request | None  # None for probes; the lead member for batches
     device: int
-    kind: str  # "primary" | "retry" | "hedge" | "probe" | "batch"
+    kind: str  # "batch" | "hedge" | "probe"
     start: float
     finish: float
     will_fail: bool = False
@@ -235,12 +235,13 @@ class Attempt:
     will_corrupt: bool = False
     cancelled: bool = False
     done: bool = False
-    #: every request riding this attempt (batching scheduler); ``None``
-    #: for the legacy one-request path and probes.  One batched attempt
-    #: fans back out to one terminal state per member.
-    members: tuple | None = None
+    #: every request riding this attempt, lead first — never empty for
+    #: a request attempt (an unbatched dispatch is a batch of one),
+    #: empty for probes.  The attempt fans back out to one terminal
+    #: state per member.
+    members: tuple = ()
     #: id of the batch this attempt carries (hedge duplicates reuse the
-    #: primary's batch id)
+    #: primary's batch id); ``None`` for probes
     batch_id: int | None = None
 
 
@@ -380,8 +381,12 @@ class Server:
         #: A batched attempt counts once: coalescing is the point.
         self.attempts_dispatched = 0
         self.retry_denied = {"budget": 0, "deadline": 0}
-        # -- batching scheduler state (dormant when batching is None) --
+        # -- batching scheduler state --
         self.batching = config.batching
+        #: without batching every request is a batch of one
+        self.max_batch = (
+            config.batching.max_batch if config.batching is not None else 1
+        )
         #: device index -> FormingBatch holding that (reserved) device
         self._forming: dict = {}
         self._batch_count = 0
@@ -557,45 +562,16 @@ class Server:
             self._pump()
 
     def _pump(self) -> None:
-        """Dispatch queued requests while idle healthy devices exist.
-
-        With batching enabled the batched pump runs instead; the legacy
-        one-request-per-device loop below is kept verbatim so
-        ``batching=None`` campaigns replay bit for bit against
-        pre-batching builds.
-        """
-        if self.batching is not None:
-            self._pump_batched()
-            return
-        while True:
-            eligible = [
-                not w.busy and self.health[w.label].available
-                for w in self.workers
-            ]
-            if not any(eligible):
-                return
-            req = self.queue.pop(self.now)
-            if req is None:
-                return
-            self._emit("dequeue", req, wait=self.now - req.arrival)
-            kind = "retry" if req.retries else "primary"
-            parent = (
-                self._last_failed.get(req.id) if kind == "retry" else None
-            )
-            d = self._place(eligible, parent)
-            self._dispatch(req, d, kind, parent=parent)
-
-    # -- the batching scheduler ----------------------------------------------
-
-    def _pump_batched(self) -> None:
-        """The coalescing pump: feed held batches, then open new ones.
+        """Feed held batches, then open new ones on idle healthy devices.
 
         Queued requests first top up any batch still forming (a new
         arrival joining a held batch is the whole point of holding);
         then, while an idle healthy *unreserved* device exists, the
         oldest queued request leads a new batch on the least-loaded
         such device.  Devices reserved by a forming batch are invisible
-        to placement — the hold is the reservation.
+        to placement — the hold is the reservation.  Without batching
+        ``max_batch`` is 1: every batch closes ``full`` the instant it
+        opens, so nothing is ever held, scooped or peeked at.
         """
         self._feed_forming()
         while True:
@@ -619,15 +595,7 @@ class Server:
             d = self._place(eligible, parent)
             self._open_batch(req, d)
 
-    def _batch_estimate(self, model: str, w: DeviceWorker, n: int) -> float:
-        """Deterministic modeled service time of an ``n``-frame batch.
-
-        Formation decisions price the *plan* — oracle batch latency
-        only, no stall factor and no noise draw (drawing here would
-        perturb the RNG stream with scheduling lookahead).  The
-        dispatch prices the reality.
-        """
-        return self.oracle.batch_latency(model, w.spec, n)
+    # -- batch formation -----------------------------------------------------
 
     def _open_batch(self, lead: Request, d: int) -> None:
         """Start forming a batch led by ``lead`` on (reserved) device ``d``."""
@@ -655,19 +623,12 @@ class Server:
         service time.  A request too tight to survive the larger batch
         stays queued and will lead its own (likely solo) batch.
         """
-        limit = self.batching.max_batch - len(fb.members)
+        limit = self.max_batch - len(fb.members)
         if limit <= 0:
             return
-        w = self.workers[fb.device]
 
         def fits(req: Request) -> bool:
-            if req.model != fb.model:
-                return False
-            if fb.scene is not None and req.scene != fb.scene:
-                return False
-            est = self._batch_estimate(fb.model, w, len(fb.members) + 1)
-            worst = min(m.deadline for m in fb.members)
-            if min(worst, req.deadline) - est < self.now:
+            if not self._would_fit(fb, req):
                 return False
             fb.members.append(req)
             return True
@@ -685,10 +646,13 @@ class Server:
         batch is slower, so the close time only moves earlier).
         """
         n = len(fb.members)
-        if n >= self.batching.max_batch:
+        if n >= self.max_batch:
             self._close_batch(fb, "full")
             return
-        est = self._batch_estimate(fb.model, self.workers[fb.device], n)
+        # formation prices the *plan* (see _would_fit)
+        est = self.oracle.batch_latency(
+            fb.model, self.workers[fb.device].spec, n
+        )
         close_at = batch_close_time(fb.members, est)
         if close_at <= self.now:
             self._close_batch(fb, "deadline" if n > 1 else "solo")
@@ -700,14 +664,19 @@ class Server:
 
     def _would_fit(self, fb: FormingBatch, req: Request) -> bool:
         """Whether ``req`` could join ``fb`` right now (no mutation)."""
-        if len(fb.members) >= self.batching.max_batch:
+        if len(fb.members) >= self.max_batch:
             return False
         if req.model != fb.model:
             return False
         if fb.scene is not None and req.scene != fb.scene:
             return False
-        w = self.workers[fb.device]
-        est = self._batch_estimate(fb.model, w, len(fb.members) + 1)
+        # formation prices the *plan*: oracle batch latency only, no
+        # stall factor and no noise draw (drawing here would perturb
+        # the RNG stream with scheduling lookahead); the dispatch
+        # prices the reality
+        est = self.oracle.batch_latency(
+            fb.model, self.workers[fb.device].spec, len(fb.members) + 1
+        )
         worst = min(m.deadline for m in fb.members)
         return min(worst, req.deadline) - est >= self.now
 
@@ -760,39 +729,42 @@ class Server:
         """Release the reservation and dispatch ``fb`` as one attempt."""
         self._forming.pop(fb.device, None)
         members = list(fb.members)
-        self._emit(
-            "batch_formed", members[0],
-            device=self.workers[fb.device].label,
-            batch=fb.id,
-            size=len(members),
-            model=fb.model,
-            members=[m.id for m in members],
-            reason=reason,
-            held=self.now - fb.opened,
-        )
-        get_registry().counter("serve.batches", reason=reason).inc()
-        self._dispatch_batch(members, fb.device, fb.id, "batch")
+        if self.batching is not None:
+            self._emit(
+                "batch_formed", members[0],
+                device=self.workers[fb.device].label,
+                batch=fb.id,
+                size=len(members),
+                model=fb.model,
+                members=[m.id for m in members],
+                reason=reason,
+                held=self.now - fb.opened,
+            )
+            get_registry().counter("serve.batches", reason=reason).inc()
+        self._dispatch(members, fb.device, "batch", fb.id)
 
-    def _dispatch_batch(
+    def _dispatch(
         self,
         members: list,
         d: int,
-        batch_id: int,
         kind: str,
+        batch_id: int,
         parent: int | None = None,
     ) -> None:
-        """Start one batched attempt carrying ``members`` on device ``d``.
+        """Start one attempt carrying ``members`` on device ``d``.
 
         One attempt, one service draw, one crash/corruption draw — the
         batch lives and dies together on this device.  ``kind`` is
         ``"batch"`` for a scheduler close and ``"hedge"`` for a
         straggler duplicate of the whole member set (``parent`` = the
-        hedged attempt).  Every member gets its own ``batch_dispatch``
-        journal slice sharing the attempt id.
+        hedged attempt).  Every member gets its own dispatch journal
+        slice sharing the attempt id: ``batch_dispatch`` in batched
+        campaigns, the pre-batching ``dispatch`` event otherwise.
         """
         w = self.workers[d]
         reg = get_registry()
         n = len(members)
+        batched = self.batching is not None
         if kind != "hedge":
             for m in members:
                 if not m.retries:
@@ -817,6 +789,8 @@ class Server:
                 self._persist_frame(frame)
         quality = None
         if self.brownout is not None:
+            # the fleet's current rung; restamped per dispatch so each
+            # member reports the level that produced its final result
             quality = self._qualities[self.brownout.level]
             for m in members:
                 m.qos_level = self.brownout.level
@@ -834,11 +808,12 @@ class Server:
         will_fail = maybe_crash_device(w.label)
         if not will_fail and self._domain_fault(w.label, "domain_outage"):
             will_fail = True
+        # an SDC attempt runs its *full* service time: nothing crashes,
+        # the corruption is only discoverable once the result exists
         will_corrupt = not will_fail and maybe_silent_corruption(w.label)
         dur = 0.5 * service if will_fail else service
         attempt = Attempt(
             id=len(self._attempts),
-            request=members[0],
             device=d,
             kind=kind,
             start=self.now,
@@ -853,24 +828,24 @@ class Server:
             m.state = RUNNING
             m.in_flight += 1
             m.devices.append(w.label)
-            m.batches.append(batch_id)
+            if batched:
+                m.batches.append(batch_id)
             self._live.setdefault(m.id, []).append(attempt.id)
         w.start(attempt.id)
         self.attempts_dispatched += 1
-        self.batch_mix[n] = self.batch_mix.get(n, 0) + 1
-        reg.counter("serve.dispatches", kind=kind).inc()
-        reg.histogram("serve.batch_size").observe(n)
+        lead = members[0]
+        if batched:
+            self.batch_mix[n] = self.batch_mix.get(n, 0) + 1
+            reg.histogram("serve.batch_size").observe(n)
+            label = kind
+        else:
+            label = self._member_kind(lead, kind)
+        reg.counter("serve.dispatches", kind=label).inc()
         for m in members:
-            attrs = {
-                "batch": batch_id,
-                "size": n,
-                "kind": (
-                    "hedge" if kind == "hedge"
-                    else ("retry" if m.retries else "primary")
-                ),
-                "model": m.model,
-                "scene": m.scene,
-            }
+            attrs = {"batch": batch_id, "size": n} if batched else {}
+            attrs.update(
+                kind=self._member_kind(m, kind), model=m.model, scene=m.scene
+            )
             if self.config.steady_state:
                 attrs["warm"] = warm
             if self.brownout is not None:
@@ -883,21 +858,29 @@ class Server:
             if mparent is not None:
                 attrs["parent"] = mparent
             self._emit(
-                "batch_dispatch", m,
+                "batch_dispatch" if batched else "dispatch", m,
                 attempt=attempt.id, device=w.label, **attrs,
             )
         with self.tracer.span(
-            "serve.batch_dispatch",
-            batch=batch_id, size=n, device=w.label, kind=kind,
+            "serve.dispatch",
+            request=lead.id, batch=batch_id, size=n,
+            device=w.label, kind=label,
         ):
             pass
         self._push(attempt.finish, "complete", attempt.id)
         if self.config.hedge.enabled and kind != "hedge":
             self._push(
-                self.now + self._hedge_delay(members[0].model, w.spec),
+                self.now + self._hedge_delay(lead.model, w.spec),
                 "hedge",
                 attempt.id,
             )
+
+    @staticmethod
+    def _member_kind(req: Request, kind: str) -> str:
+        """The journal's dispatch kind of one member of a ``kind`` attempt."""
+        if kind == "hedge":
+            return "hedge"
+        return "retry" if req.retries else "primary"
 
     def _place(self, eligible: list, parent: int | None) -> int:
         """Least-loaded eligible device, domain-diverse after a failure.
@@ -958,153 +941,16 @@ class Server:
             a.finish = self.now
             self._push(self.now, "complete", a.id)
 
-    def _dispatch(
-        self, req: Request, d: int, kind: str, parent: int | None = None
-    ) -> None:
-        w = self.workers[d]
-        reg = get_registry()
-        if kind == "primary":
-            reg.histogram("serve.wait_ms").observe(
-                (self.now - req.arrival) * 1e3
-            )
-        warm = False
-        if self.config.steady_state:
-            frame = (req.model, req.scene)
-            warm = frame in self._seen[d]
-            self._seen[d].add(frame)
-            if warm:
-                self.warm_dispatches += 1
-            else:
-                self.cold_dispatches += 1
-            reg.counter(
-                "serve.mapcache", result="warm" if warm else "cold"
-            ).inc()
-            if self.store is not None and frame not in self._fleet_seen:
-                self._fleet_seen.add(frame)
-                self._persist_frame(frame)
-        quality = None
-        if self.brownout is not None:
-            # the fleet's current rung; restamped per dispatch so the
-            # request reports the level that produced its final result
-            quality = self._qualities[self.brownout.level]
-            req.qos_level = self.brownout.level
-            req.qos_rung = self.brownout.rung
-            reg.counter("serve.qos_dispatches", rung=req.qos_rung).inc()
-        service = self._service_time(req.model, w, warm=warm, quality=quality)
-        degrade = self._domain_fault(w.label, "domain_degrade")
-        if degrade is not None:
-            service *= domain_degrade_factor(degrade["severity"])
-        will_fail = maybe_crash_device(w.label)
-        if not will_fail and self._domain_fault(w.label, "domain_outage"):
-            will_fail = True
-        # an SDC attempt runs its *full* service time: nothing crashes,
-        # the corruption is only discoverable once the result exists
-        will_corrupt = not will_fail and maybe_silent_corruption(w.label)
-        dur = 0.5 * service if will_fail else service
-        req.state = RUNNING
-        req.in_flight += 1
-        req.devices.append(w.label)
-        attempt = Attempt(
-            id=len(self._attempts),
-            request=req,
-            device=d,
-            kind=kind,
-            start=self.now,
-            finish=self.now + dur,
-            will_fail=will_fail,
-            will_corrupt=will_corrupt,
-        )
-        self._attempts[attempt.id] = attempt
-        self._live.setdefault(req.id, []).append(attempt.id)
-        w.start(attempt.id)
-        self.attempts_dispatched += 1
-        reg.counter("serve.dispatches", kind=kind).inc()
-        dispatch_attrs = {"kind": kind, "model": req.model, "scene": req.scene}
-        if self.config.steady_state:
-            dispatch_attrs["warm"] = warm
-        if self.brownout is not None:
-            dispatch_attrs["qos"] = req.qos_rung
-        if parent is not None:
-            dispatch_attrs["parent"] = parent
-        self._emit(
-            "dispatch", req,
-            attempt=attempt.id, device=w.label, **dispatch_attrs,
-        )
-        with self.tracer.span(
-            "serve.dispatch", request=req.id, device=w.label, kind=kind
-        ):
-            pass
-        self._push(attempt.finish, "complete", attempt.id)
-        if self.config.hedge.enabled and kind != "hedge":
-            self._push(
-                self.now + self._hedge_delay(req.model, w.spec),
-                "hedge",
-                attempt.id,
-            )
-
     def _on_hedge(self, attempt_id: int) -> None:
-        a = self._attempts[attempt_id]
-        if a.members is not None:
-            self._on_batch_hedge(a)
-            return
-        req = a.request
-        reg = get_registry()
-        if a.done or a.cancelled or req.terminal or req.hedged:
-            return
-        if (
-            self.storm is not None
-            and self.storm.suppress_hedges
-            and self.health.any_domain_open
-        ):
-            # a mass outage makes p95-triggered duplicates pure load
-            # amplification onto the surviving domains
-            self.hedges_suppressed += 1
-            reg.counter("serve.hedges", outcome="suppressed").inc()
-            self._emit("hedge_skip", req, reason="domain_breaker")
-            return
-        eligible = [
-            not w.busy
-            and self.health[w.label].available
-            and w.index != a.device
-            for w in self.workers
-        ]
-        if not any(eligible):
-            reg.counter("serve.hedges", outcome="skipped").inc()
-            self._emit("hedge_skip", req, reason="no_device")
-            return
-        if self._defended:
-            primary = self.topology.domain_of(self.workers[a.device].label)
-            diverse = [
-                e and self.topology.domain_of(w.label) != primary
-                for e, w in zip(eligible, self.workers)
-            ]
-            if not any(diverse):
-                # a same-domain hedge shares the primary's failure
-                # domain — it hedges nothing worth hedging
-                reg.counter("serve.hedges", outcome="skipped").inc()
-                self._emit("hedge_skip", req, reason="no_cross_domain")
-                return
-            eligible = diverse
-        d = least_loaded([w.busy_time for w in self.workers], eligible)
-        req.hedged = True
-        self.hedges_launched += 1
-        reg.counter("serve.hedges", outcome="launched").inc()
-        with self.tracer.span(
-            "serve.hedge", request=req.id, device=self.labels[d]
-        ):
-            pass
-        self._dispatch(req, d, "hedge", parent=a.id)
+        """Hedge a straggling attempt: duplicate its whole member set.
 
-    def _on_batch_hedge(self, a: Attempt) -> None:
-        """Hedge a straggling batched attempt: duplicate the whole set.
-
-        Same policy as the single-request hedge — p95 trigger, storm
-        suppression, domain-diverse placement — but the duplicate
-        carries the exact member set under the same batch id, so
-        first-result-wins cancellation stays attempt-level.  Devices
+        p95 trigger, storm suppression, domain-diverse placement; the
+        duplicate carries the exact member set under the same batch id,
+        so first-result-wins cancellation stays attempt-level.  Devices
         reserved by a forming batch are not stolen for hedges.
         """
-        lead = a.request
+        a = self._attempts[attempt_id]
+        lead = a.members[0]
         reg = get_registry()
         if a.done or a.cancelled or lead.terminal or lead.hedged:
             return
@@ -1113,6 +959,8 @@ class Server:
             and self.storm.suppress_hedges
             and self.health.any_domain_open
         ):
+            # a mass outage makes p95-triggered duplicates pure load
+            # amplification onto the surviving domains
             self.hedges_suppressed += 1
             reg.counter("serve.hedges", outcome="suppressed").inc()
             self._emit("hedge_skip", lead, reason="domain_breaker")
@@ -1135,6 +983,8 @@ class Server:
                 for e, w in zip(eligible, self.workers)
             ]
             if not any(diverse):
+                # a same-domain hedge shares the primary's failure
+                # domain — it hedges nothing worth hedging
                 reg.counter("serve.hedges", outcome="skipped").inc()
                 self._emit("hedge_skip", lead, reason="no_cross_domain")
                 return
@@ -1148,9 +998,7 @@ class Server:
             "serve.hedge", request=lead.id, device=self.labels[d]
         ):
             pass
-        self._dispatch_batch(
-            list(a.members), d, a.batch_id, "hedge", parent=a.id
-        )
+        self._dispatch(list(a.members), d, "hedge", a.batch_id, parent=a.id)
 
     def _on_complete(self, attempt_id: int) -> None:
         a = self._attempts[attempt_id]
@@ -1165,76 +1013,25 @@ class Server:
         if a.kind == "probe":
             self._finish_probe(a)
             return
-        if a.members is not None:
-            self._complete_batch(a, w)
-            self._pump()
-            return
-        req = a.request
-        req.in_flight -= 1
-        self._live[req.id].remove(a.id)
-        if a.will_fail:
-            self._attempt_crashed(a, req, w)
-        elif a.will_corrupt and self.config.verify_integrity:
-            self._attempt_corrupted(a, req, w)
-        else:
-            self._attempt_succeeded(a, req, w)
-        self._pump()
-
-    def _attempt_crashed(self, a: Attempt, req: Request, w: DeviceWorker) -> None:
-        reg = get_registry()
-        reg.counter("serve.crashes", device=w.label).inc()
-        with self.tracer.span("serve.crash", request=req.id, device=w.label):
-            pass
-        self._last_failed[req.id] = a.id
-        self._emit(
-            "attempt_finish", req,
-            attempt=a.id, device=w.label, outcome="crash",
-        )
-        self._fail_attempt(req, w, "every attempt crashed")
-
-    def _attempt_corrupted(
-        self, a: Attempt, req: Request, w: DeviceWorker
-    ) -> None:
-        """A finished attempt failed ABFT verification.
-
-        Same consequences as a crash — the breaker hears about it (a
-        device producing corrupted results is as unhealthy as one that
-        dies) and the retry budget is spent — the only difference being
-        that the full service time was already burned.
-        """
-        reg = get_registry()
-        self.integrity_failures += 1
-        req.integrity_failures += 1
-        reg.counter("serve.integrity_failures", device=w.label).inc()
-        with self.tracer.span(
-            "serve.integrity_failure", request=req.id, device=w.label
-        ):
-            pass
-        self._last_failed[req.id] = a.id
-        self._emit(
-            "attempt_finish", req,
-            attempt=a.id, device=w.label, outcome="integrity_fail",
-        )
-        self._fail_attempt(req, w, "result failed integrity verification")
-
-    def _complete_batch(self, a: Attempt, w: DeviceWorker) -> None:
-        """A batched attempt left its device: fan out to every member."""
-        members = list(a.members)
-        for m in members:
+        for m in a.members:
             m.in_flight -= 1
             self._live[m.id].remove(a.id)
         if a.will_fail:
-            self._batch_failed(a, members, w, "crash")
+            self._attempt_failed(a, w, "crash")
         elif a.will_corrupt and self.config.verify_integrity:
-            self._batch_failed(a, members, w, "integrity_fail")
+            self._attempt_failed(a, w, "integrity_fail")
         else:
-            self._batch_succeeded(a, members, w)
+            self._attempt_succeeded(a, w)
+        self._pump()
 
-    def _batch_failed(
-        self, a: Attempt, members: list, w: DeviceWorker, outcome: str
+    def _attempt_failed(
+        self, a: Attempt, w: DeviceWorker, outcome: str
     ) -> None:
-        """One batched attempt crashed/corrupted: everyone rode it down.
+        """An attempt crashed or failed ABFT verification.
 
+        A corrupted result has the same consequences as a crash — a
+        device producing corrupted results is as unhealthy as one that
+        dies — except that the full service time was already burned.
         The device breaker hears about *one* failure (one attempt, one
         fault), but every member's retry/terminal verdict runs
         independently in member order — each backoff draw comes from
@@ -1243,22 +1040,16 @@ class Server:
         reg = get_registry()
         if outcome == "crash":
             reg.counter("serve.crashes", device=w.label).inc()
-            with self.tracer.span(
-                "serve.crash", request=members[0].id, device=w.label
-            ):
-                pass
+            span = "serve.crash"
             reason = "every attempt crashed"
         else:
             self.integrity_failures += 1
             reg.counter("serve.integrity_failures", device=w.label).inc()
-            with self.tracer.span(
-                "serve.integrity_failure",
-                request=members[0].id,
-                device=w.label,
-            ):
-                pass
+            span = "serve.integrity_failure"
             reason = "result failed integrity verification"
-        for m in members:
+        with self.tracer.span(span, request=a.members[0].id, device=w.label):
+            pass
+        for m in a.members:
             if outcome == "integrity_fail":
                 m.integrity_failures += 1
             self._last_failed[m.id] = a.id
@@ -1267,83 +1058,8 @@ class Server:
                 attempt=a.id, device=w.label, outcome=outcome,
             )
         self._record_device_failure(w)
-        for m in members:
+        for m in a.members:
             self._member_verdict(m, reason)
-
-    def _batch_succeeded(
-        self, a: Attempt, members: list, w: DeviceWorker
-    ) -> None:
-        """One batched attempt finished: every member gets its verdict."""
-        reg = get_registry()
-        self.health.record_success(w.label)
-        if self.retry_budget is not None:
-            # n requests of goodput refill n tokens
-            for _ in members:
-                self.retry_budget.credit()
-            reg.gauge("serve.retry_budget_tokens").set(
-                self.retry_budget.tokens
-            )
-        w.completed += len(members)
-        service = self.now - a.start
-        self._service_samples.append(service)
-        reg.histogram("serve.service_ms").observe(service * 1e3)
-        for m in members:
-            self._emit(
-                "attempt_finish", m,
-                attempt=a.id, device=w.label, outcome="ok",
-                corrupted=bool(a.will_corrupt),
-            )
-        # first result wins at the attempt level: a hedge twin carries
-        # the same member set, so it is cancelled once, its device
-        # reclaimed once, and every member slice closed
-        twin_ids: set = set()
-        for m in members:
-            twin_ids.update(self._live[m.id])
-        for tid in sorted(twin_ids):
-            twin = self._attempts[tid]
-            twin.cancelled = True
-            self.workers[twin.device].release(self.now - twin.start)
-            self.hedges_cancelled += 1
-            reg.counter("serve.hedges", outcome="cancelled").inc()
-            for m in twin.members:
-                self._live[m.id].remove(tid)
-                m.in_flight -= 1
-                self._emit(
-                    "attempt_finish", m,
-                    attempt=tid,
-                    device=self.workers[twin.device].label,
-                    outcome="cancelled",
-                )
-        if a.kind == "hedge":
-            self.hedges_won += 1
-            reg.counter("serve.hedges", outcome="won").inc()
-        for m in members:
-            if a.kind == "hedge":
-                m.hedge_won = True
-            if a.will_corrupt:
-                # verification off: the SDC hole ships to every member
-                m.corrupted = True
-                reg.counter(
-                    "serve.corrupted_completions", device=w.label
-                ).inc()
-            if self.now <= m.deadline:
-                m.resolve(COMPLETED, self.now)
-                reg.counter("serve.completed").inc()
-                self._note_terminal(completed=True)
-                self._emit("terminal", m, state=COMPLETED,
-                           latency=m.latency, corrupted=m.corrupted)
-            else:
-                m.resolve(DEADLINE_EXCEEDED, self.now)
-                reg.counter("serve.deadline_exceeded").inc()
-                self._note_terminal(completed=False)
-                self._emit("terminal", m, state=DEADLINE_EXCEEDED,
-                           latency=m.latency)
-            reg.histogram("serve.latency_ms").observe(m.latency * 1e3)
-
-    def _fail_attempt(self, req: Request, w: DeviceWorker, reason: str) -> None:
-        """Shared crash/corruption tail: breaker, retry budget, verdict."""
-        self._record_device_failure(w)
-        self._member_verdict(req, reason)
 
     def _record_device_failure(self, w: DeviceWorker) -> None:
         """Feed one attempt failure to the device (and domain) breaker."""
@@ -1439,62 +1155,76 @@ class Server:
         ]
         return min(times) if times else None
 
-    def _attempt_succeeded(
-        self, a: Attempt, req: Request, w: DeviceWorker
-    ) -> None:
+    def _attempt_succeeded(self, a: Attempt, w: DeviceWorker) -> None:
+        """An attempt finished: every member gets its verdict."""
         reg = get_registry()
+        members = a.members
         self.health.record_success(w.label)
         if self.retry_budget is not None:
-            # goodput refills the storm budget: retry traffic stays a
-            # bounded fraction of what actually succeeds
-            self.retry_budget.credit()
+            # goodput refills the storm budget: n requests of goodput
+            # refill n tokens, so retry traffic stays a bounded fraction
+            # of what actually succeeds
+            for _ in members:
+                self.retry_budget.credit()
             reg.gauge("serve.retry_budget_tokens").set(
                 self.retry_budget.tokens
             )
-        w.completed += 1
+        w.completed += len(members)
         service = self.now - a.start
         self._service_samples.append(service)
         reg.histogram("serve.service_ms").observe(service * 1e3)
-        self._emit(
-            "attempt_finish", req,
-            attempt=a.id, device=w.label, outcome="ok",
-            corrupted=bool(a.will_corrupt),
-        )
-        # first result wins: cancel any twin and reclaim its device now
-        for sid in list(self._live[req.id]):
-            twin = self._attempts[sid]
+        for m in members:
+            self._emit(
+                "attempt_finish", m,
+                attempt=a.id, device=w.label, outcome="ok",
+                corrupted=bool(a.will_corrupt),
+            )
+        # first result wins at the attempt level: a hedge twin carries
+        # the same member set, so it is cancelled once, its device
+        # reclaimed once, and every member slice closed
+        twin_ids: set = set()
+        for m in members:
+            twin_ids.update(self._live[m.id])
+        for tid in sorted(twin_ids):
+            twin = self._attempts[tid]
             twin.cancelled = True
             self.workers[twin.device].release(self.now - twin.start)
-            self._live[req.id].remove(sid)
-            req.in_flight -= 1
             self.hedges_cancelled += 1
             reg.counter("serve.hedges", outcome="cancelled").inc()
-            self._emit(
-                "attempt_finish", req,
-                attempt=twin.id, device=self.workers[twin.device].label,
-                outcome="cancelled",
-            )
+            for m in twin.members:
+                self._live[m.id].remove(tid)
+                m.in_flight -= 1
+                self._emit(
+                    "attempt_finish", m,
+                    attempt=tid,
+                    device=self.workers[twin.device].label,
+                    outcome="cancelled",
+                )
         if a.kind == "hedge":
-            req.hedge_won = True
             self.hedges_won += 1
             reg.counter("serve.hedges", outcome="won").inc()
-        if a.will_corrupt:
-            # verification off: the SDC hole — garbage ships as a result
-            req.corrupted = True
-            reg.counter("serve.corrupted_completions", device=w.label).inc()
-        if self.now <= req.deadline:
-            req.resolve(COMPLETED, self.now)
-            reg.counter("serve.completed").inc()
-            self._note_terminal(completed=True)
-            self._emit("terminal", req, state=COMPLETED,
-                       latency=req.latency, corrupted=req.corrupted)
-        else:
-            req.resolve(DEADLINE_EXCEEDED, self.now)
-            reg.counter("serve.deadline_exceeded").inc()
-            self._note_terminal(completed=False)
-            self._emit("terminal", req, state=DEADLINE_EXCEEDED,
-                       latency=req.latency)
-        reg.histogram("serve.latency_ms").observe(req.latency * 1e3)
+        for m in members:
+            if a.kind == "hedge":
+                m.hedge_won = True
+            if a.will_corrupt:
+                # verification off: the SDC hole ships to every member
+                m.corrupted = True
+                reg.counter(
+                    "serve.corrupted_completions", device=w.label
+                ).inc()
+            if self.now <= m.deadline:
+                m.resolve(COMPLETED, self.now)
+                reg.counter("serve.completed").inc()
+                self._note_terminal(completed=True)
+                self._emit("terminal", m, state=COMPLETED,
+                           latency=m.latency, corrupted=m.corrupted)
+            else:
+                m.resolve(DEADLINE_EXCEEDED, self.now)
+                reg.counter("serve.deadline_exceeded").inc()
+                self._note_terminal(completed=False)
+                self._emit("terminal", m, state=DEADLINE_EXCEEDED,
+                           latency=m.latency)
+            reg.histogram("serve.latency_ms").observe(m.latency * 1e3)
 
     def _on_qos_tick(self, _ref) -> None:
         """One brownout-controller tick: observe the window, maybe step.
@@ -1562,7 +1292,6 @@ class Server:
         dur = 0.5 * service if will_fail else service
         attempt = Attempt(
             id=len(self._attempts),
-            request=None,
             device=d,
             kind="probe",
             start=self.now,
@@ -1768,9 +1497,7 @@ class Server:
             attempts=self.attempts_dispatched,
             retry_denied=dict(self.retry_denied),
             batching=self.batching is not None,
-            max_batch=(
-                self.batching.max_batch if self.batching is not None else 1
-            ),
+            max_batch=self.max_batch,
             batch_mix={
                 int(k): int(v) for k, v in sorted(self.batch_mix.items())
             },
@@ -1844,31 +1571,18 @@ def run_serve_campaign(
         qualities = [
             ladder.quality_at(level) for level in range(1, ladder.floor + 1)
         ]
-    for model in traffic.models:
-        for w in server.workers:
-            oracle.base_latency(model, w.spec)
-            if config.steady_state:
-                oracle.base_latency(model, w.spec, warm=True)
-            for q in qualities:
-                oracle.base_latency(model, w.spec, quality=q)
-                if config.steady_state:
-                    oracle.base_latency(model, w.spec, warm=True, quality=q)
-    if config.batching is not None:
-        # warm every batch size the scheduler may price, so formation
-        # estimates and batched dispatches never run the engine inside
-        # the injector context either
+    # warm every batch size the scheduler may price (n=1 is the base
+    # latency), so formation estimates and dispatches never run the
+    # engine inside the injector context either
+    for n in range(1, server.max_batch + 1):
         for model in traffic.models:
             for w in server.workers:
-                for n in range(2, config.batching.max_batch + 1):
-                    oracle.batch_latency(model, w.spec, n)
+                for q in [None, *qualities]:
+                    oracle.batch_latency(model, w.spec, n, quality=q)
                     if config.steady_state:
-                        oracle.batch_latency(model, w.spec, n, warm=True)
-                    for q in qualities:
-                        oracle.batch_latency(model, w.spec, n, quality=q)
-                        if config.steady_state:
-                            oracle.batch_latency(
-                                model, w.spec, n, warm=True, quality=q
-                            )
+                        oracle.batch_latency(
+                            model, w.spec, n, warm=True, quality=q
+                        )
     ctx = inject_faults(injector) if injector is not None else nullcontext()
     with ctx:
         requests = generate_arrivals(traffic, server.deadline_for)

@@ -26,6 +26,7 @@ from repro.obs.timeline import (
     TimelineRecorder,
     validate_journal,
 )
+from repro.profiling.trace import to_serve_trace
 from repro.robust.errors import ConfigError
 from repro.robust.faults import FaultInjector, FaultSpec
 from repro.serve import (
@@ -274,8 +275,9 @@ class TestDeterminism:
 
 class TestOffSwitchBitExactness:
     """``batching=None`` must replay the committed pre-batching golden
-    fixture byte for byte — the regression that proves the refactor
-    left the legacy pump, report, and journal untouched."""
+    fixture byte for byte — the regression that proves running the
+    unbatched fleet through the batch-of-one path left its report and
+    journal untouched."""
 
     def _fixture_campaign(self, tmp_path):
         config = ServeConfig(
@@ -347,9 +349,11 @@ class TestBatchedCampaign:
         assert rec.meta["batching"] is True and rec.meta["max_batch"] == 4
 
     def test_report_batching_block_and_mix(self):
+        rec = TimelineRecorder()
         report, _ = campaign(
             make_config(batching=BatchingConfig(max_batch=4)),
             make_traffic(rate=600.0, duration=0.4),
+            recorder=rec,
         )
         j = report.to_json()["batching"]
         assert j["enabled"] and j["max_batch"] == 4
@@ -365,6 +369,23 @@ class TestBatchedCampaign:
             len(r.batches) == len(r.devices) for r in report.requests
         )
         assert served, "no requests served"
+        # the journal accounts for every batch the report counts: hedges
+        # re-dispatch an already-formed batch, so formations = attempts
+        # - hedges, and each member of each attempt gets one slice
+        kinds = [e["kind"] for e in rec.events]
+        assert kinds.count("batch_formed") == (
+            j["batches"] - report.hedges_launched
+        )
+        assert kinds.count("batch_dispatch") == j["batched_members"]
+        trace = to_serve_trace(rec.header(), rec.events)["traceEvents"]
+        assert any(
+            e["ph"] == "C" and e["name"] == "batch size" for e in trace
+        )
+        assert any(
+            e["ph"] == "X" and e.get("cat") == "attempt"
+            and e["name"].startswith("batch x")
+            for e in trace
+        )
 
     def test_batched_attempts_coalesce_amplification(self):
         """Coalescing means strictly fewer dispatched attempts than

@@ -187,6 +187,26 @@ class TestServeCli:
         assert main([*self.CHAOS, "--json", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_max_batch_is_the_batching_switch(self, n, tmp_path, capsys):
+        snap = tmp_path / "serve.json"
+        rc = main(["serve", "--scale", "0.04", "--rate", "400",
+                   "--duration", "0.1", "--seed", "3",
+                   "--max-batch", str(n), "--json", str(snap)])
+        assert rc == 0
+        d = json.loads(snap.read_text())
+        if n == 1:
+            # the default: one request per device, no batch metadata
+            assert build_parser().parse_args(["serve"]).max_batch == 1
+            assert "batching" not in d
+        else:
+            assert d["batching"]["enabled"] and d["batching"]["max_batch"] == n
+            assert "batching:" in capsys.readouterr().out
+
+    def test_max_batch_below_one_rejected(self):
+        with pytest.raises(SystemExit, match="max_batch must be >= 1, got 0"):
+            main([*self.SERVE, "--max-batch", "0"])
+
     def test_slo_floor_gate_fails(self, capsys):
         # an impossible floor flips the exit code, not the report
         rc = main([*self.SERVE, "--slo-floor", "1.01"])

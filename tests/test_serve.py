@@ -407,7 +407,7 @@ class TestServeCampaign:
             server = Server(make_config(), oracle)
             req = Request(id=0, model="m", arrival=0.0, deadline=1.0)
             server._requests = [req]
-            server._dispatch(req, 0, "primary")
+            server._dispatch([req], 0, "batch", 1)
             (aid,) = server._attempts
             # the request resolves before its hedge timer fires — the
             # stale timer must not launch (or count) anything

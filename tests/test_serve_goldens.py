@@ -8,9 +8,9 @@ digests in ``tests/data/serve_goldens.json`` pin all four for
 * ``batching=None``, ``BatchingConfig(max_batch=1)`` and
   ``BatchingConfig(max_batch=4)``, crossed with
 * seven fleet scenarios on synthetic latencies (crashes, a straggler
-  and verified corruption with hedges firing, overload, steady state, brownout, failure domains with a storm
-  defense and an outage, spares with a durable store, and unverified
-  silent corruption),
+  and verified corruption with hedges firing, overload, steady state,
+  brownout, failure domains with a storm defense and an outage, spares
+  with a durable store, and unverified silent corruption),
 
 plus one small engine-priced batched campaign that pins the latency
 oracle's pricing.  A refactor of the serve loop must keep every digest.
