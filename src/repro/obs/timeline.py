@@ -547,6 +547,11 @@ def validate_journal(header: dict, events: list) -> list:
                 )
             else:
                 opened_req, opened_dev, _ = attempt_open[attempt]
+                if req != opened_req:
+                    problems.append(
+                        f"event {i}: attempt {attempt} finished for request "
+                        f"{req}, dispatched for {opened_req}"
+                    )
                 if e.get("device") != opened_dev:
                     problems.append(
                         f"event {i}: attempt {attempt} finished on "

@@ -134,8 +134,6 @@ class BrownoutController:
         self.level = 0
         #: sim time of the most recent level change (None before any)
         self.last_change: float | None = None
-        #: every change record, in order (the report's ``qos_changes``)
-        self.changes: list = []
 
     @property
     def rung(self) -> str:
@@ -183,7 +181,7 @@ class BrownoutController:
             return None
         self.level = new
         self.last_change = now
-        record = {
+        return {
             "t": float(now),
             "level": new,
             "rung": cfg.ladder.rung_name(new),
@@ -191,5 +189,3 @@ class BrownoutController:
             "queue_depth": int(queue_depth),
             "burn": burn,
         }
-        self.changes.append(record)
-        return record

@@ -25,9 +25,10 @@ a :class:`~repro.gpu.device.GPUSpec` fleet with:
   :mod:`repro.robust.faults`.
 
 Every request ends in exactly one terminal state (completed / shed /
-deadline_exceeded / failed), surfaced as ``serve.*`` metrics and spans
-through :mod:`repro.obs`.  ``repro-bench serve`` runs campaigns from
-the command line.
+deadline_exceeded / failed), journaled as a ``terminal`` event and
+counted in the ``serve.*`` metrics folded from the journal
+(:func:`~repro.serve.report.fold_journal`).  ``repro-bench serve``
+runs campaigns from the command line.
 """
 
 from repro.serve.batching import BatchingConfig, FormingBatch, batch_close_time

@@ -37,23 +37,18 @@ class DeviceWorker:
     label: str
     spec: GPUSpec
     busy: bool = False
-    #: attempt id currently running (None when idle)
-    current: int | None = None
     #: sim seconds spent serving (the placement load signal)
     busy_time: float = 0.0
-    completed: int = 0
 
-    def start(self, attempt_id: int) -> None:
+    def start(self) -> None:
         if self.busy:
             raise RuntimeError(f"device {self.label} already busy")
         self.busy = True
-        self.current = attempt_id
 
     def release(self, elapsed: float) -> None:
         if not self.busy:
             raise RuntimeError(f"device {self.label} is not busy")
         self.busy = False
-        self.current = None
         self.busy_time += elapsed
 
 

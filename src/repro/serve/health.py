@@ -21,9 +21,8 @@ The breaker closes when any member passes a readmission probe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.metrics import get_registry
 from repro.robust.degrade import CircuitBreaker
 
 HEALTHY = "healthy"
@@ -136,7 +135,6 @@ class FleetHealth:
             dev.state = QUARANTINED
             dev.quarantined_at = now
             dev.quarantines += 1
-            get_registry().counter("serve.quarantines", device=label).inc()
             return True
         return False
 
@@ -175,8 +173,6 @@ class FleetHealth:
         state["open"] = True
         state["opened_at"] = now
         state["outages"] += 1
-        reg = get_registry()
-        reg.counter("serve.domain_outages", domain=domain).inc()
         swept = []
         for m in members:
             dev = self.devices[m]
@@ -185,10 +181,6 @@ class FleetHealth:
                 dev.quarantined_at = now
                 dev.quarantines += 1
                 state["mass_quarantined"] += 1
-                reg.counter("serve.quarantines", device=m).inc()
-                reg.counter(
-                    "serve.mass_quarantines", domain=domain
-                ).inc()
                 swept.append(m)
         return domain, swept
 
@@ -208,9 +200,6 @@ class FleetHealth:
         state["open"] = False
         state["down_time"] += now - state["opened_at"]
         self._domain_failures.pop(domain, None)
-        get_registry().counter(
-            "serve.domain_recoveries", domain=domain
-        ).inc()
         return domain
 
     @property
@@ -272,28 +261,19 @@ class FleetHealth:
         probe its victims to death one by one.
         """
         dev = self.devices[label]
-        reg = get_registry()
-        reg.counter(
-            "serve.probes", device=label, result="ok" if ok else "fail"
-        ).inc()
         if ok:
             dev.state = HEALTHY
             # reset the breaker: a probed device starts with a clean slate
             dev.breaker.failures = 0
             dev.breaker.pinned = 0
-            reg.counter("serve.readmissions", device=label).inc()
             return True
         if forgive:
             dev.probes -= 1
-            dev.state = QUARANTINED
-            dev.quarantined_at = now
-            return False
-        if dev.probes >= self.max_probes:
+        elif dev.probes >= self.max_probes:
             dev.state = DEAD
-            reg.counter("serve.dead_devices", device=label).inc()
-        else:
-            dev.state = QUARANTINED
-            dev.quarantined_at = now
+            return False
+        dev.state = QUARANTINED
+        dev.quarantined_at = now
         return False
 
     @property

@@ -1,6 +1,7 @@
 """Bounded admission queue with backpressure and load shedding.
 
-Two shedding rules, both surfaced as ``serve.shed{reason=...}``:
+Two shedding rules, both reported to the ``on_shed`` observer (the
+serve loop journals each as a ``shed`` terminal with its reason):
 
 * **reject-on-full** — an arrival finding the queue at capacity is shed
   immediately (after first evicting any already-expired entries to make
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.obs.metrics import get_registry
 from repro.serve.request import QUEUED, SHED, Request
 
 
@@ -50,7 +50,6 @@ class AdmissionQueue:
         req.shed_reason = reason
         req.resolve(SHED, now)
         self.shed.append(req)
-        get_registry().counter("serve.shed", reason=reason).inc()
         if self.on_shed is not None:
             self.on_shed(req, reason, now)
 
@@ -80,9 +79,6 @@ class AdmissionQueue:
             self._shed(req, "queue_full", now)
             return False
         self._q.append(req)
-        reg = get_registry()
-        reg.counter("serve.admitted").inc()
-        reg.histogram("serve.queue_depth").observe(len(self._q))
         return True
 
     def pop(self, now: float) -> Request | None:

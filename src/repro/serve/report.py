@@ -4,6 +4,10 @@ Percentiles use the same nearest-rank
 :func:`repro.profiling.report.percentile` as the batch sharding path,
 so ``repro-bench serve`` and ``ShardResult.p99`` quote comparable
 numbers.
+
+The journal is the ledger: :func:`fold_journal` derives the report's
+tallies and every ``serve.*`` counter and histogram from one in-order
+pass over a campaign's events.
 """
 
 from __future__ import annotations
@@ -21,6 +25,198 @@ from repro.serve.request import (
 )
 
 SERVE_SCHEMA = "repro-bench.serve/1"
+
+
+@dataclass
+class Ledger:
+    """Every count one campaign's journal implies (see :func:`fold_journal`).
+
+    The report's tallies are read off the folded metrics, so the two
+    can never disagree.
+    """
+
+    #: (metric name, label items) -> counter total
+    counters: dict = field(default_factory=dict)
+    #: metric name -> histogram observations, in journal order
+    histograms: dict = field(default_factory=dict)
+    #: device label -> requests completed on it
+    completed: dict = field(default_factory=dict)
+    replacements: list = field(default_factory=list)
+    qos_changes: list = field(default_factory=list)
+
+    def total(self, name: str, **labels) -> int:
+        """Sum of counter ``name`` over every label set holding ``labels``."""
+        want = set(labels.items())
+        return sum(
+            value
+            for (metric, items), value in self.counters.items()
+            if metric == name and want <= set(items)
+        )
+
+    def report_fields(self) -> dict:
+        """Keyword arguments of :class:`ServeReport` this ledger fills."""
+        sizes = self.histograms.get("serve.batch_size", [])
+        return dict(
+            retries=self.total("serve.retries"),
+            hedges_launched=self.total("serve.hedges", outcome="launched"),
+            hedges_won=self.total("serve.hedges", outcome="won"),
+            hedges_cancelled=self.total("serve.hedges", outcome="cancelled"),
+            hedges_suppressed=self.total("serve.hedges", outcome="suppressed"),
+            integrity_failures=self.total("serve.integrity_failures"),
+            attempts=self.total("serve.dispatches"),
+            retry_denied={
+                reason: self.total("serve.retry_denied", reason=reason)
+                for reason in ("budget", "deadline")
+            },
+            batch_mix={n: sizes.count(n) for n in sorted(set(sizes))},
+            warm_dispatches=self.total("serve.mapcache", result="warm"),
+            cold_dispatches=self.total("serve.mapcache", result="cold"),
+            replacements=self.replacements,
+            qos_changes=self.qos_changes,
+        )
+
+    def publish(self, registry) -> None:
+        """Write the counters and histograms into ``registry``.
+
+        Histograms observe in journal order, so their float sums match
+        a registry written live, event by event.
+        """
+        for (name, labels), total in self.counters.items():
+            registry.counter(name, **dict(labels)).inc(total)
+        for name, values in self.histograms.items():
+            hist = registry.histogram(name)
+            for value in values:
+                hist.observe(value)
+
+
+def fold_journal(events) -> Ledger:
+    """One in-order pass over a campaign's events into its :class:`Ledger`.
+
+    Works on live events and on a journal read back with
+    :func:`~repro.obs.timeline.load_journal` alike.  Attempt-level
+    metrics count an attempt once, on its first member slice.  Health
+    probes (events with no request) count only as ``serve.probes``.
+    """
+    led = Ledger()
+    counters, histograms = led.counters, led.histograms
+
+    def count(name: str, n: int = 1, **labels) -> None:
+        key = (name, tuple(labels.items()))
+        counters[key] = counters.get(key, 0) + n
+
+    def observe(name: str, value: float) -> None:
+        histograms.setdefault(name, []).append(value)
+
+    arrived: dict = {}  # request -> arrival time
+    running: dict = {}  # attempt -> (dispatch time, is a hedge)
+    for e in events:
+        kind, req, dev = e["kind"], e["request"], e["device"]
+        attrs = e["attrs"]
+        if kind == "arrival":
+            arrived[req] = e["t"]
+            count("serve.arrivals")
+        elif kind == "admit":
+            count("serve.admitted")
+            observe("serve.queue_depth", e["queue_depth"])
+        elif kind in ("dispatch", "batch_dispatch"):
+            if req is None:
+                continue  # a health probe
+            member_kind = attrs["kind"]
+            if member_kind == "primary":
+                observe("serve.wait_ms", (e["t"] - arrived[req]) * 1e3)
+            if "qos" in attrs:
+                count("serve.qos_dispatches", rung=attrs["qos"])
+            if e["attempt"] in running:
+                continue  # a further member slice of this attempt
+            hedge = member_kind == "hedge"
+            running[e["attempt"]] = (e["t"], hedge)
+            if kind == "batch_dispatch":
+                observe("serve.batch_size", attrs["size"])
+                count("serve.dispatches", kind="hedge" if hedge else "batch")
+            else:
+                count("serve.dispatches", kind=member_kind)
+            if "warm" in attrs:
+                count("serve.mapcache",
+                      result="warm" if attrs["warm"] else "cold")
+            if hedge:
+                count("serve.hedges", outcome="launched")
+        elif kind == "attempt_finish":
+            outcome = attrs["outcome"]
+            if req is None:
+                count("serve.probes", device=dev,
+                      result="ok" if outcome == "ok" else "fail")
+                continue
+            if outcome == "ok":
+                led.completed[dev] = led.completed.get(dev, 0) + 1
+                if attrs["corrupted"]:
+                    count("serve.corrupted_completions", device=dev)
+            started = running.pop(e["attempt"], None)
+            if started is None:
+                continue  # a further member slice of this attempt
+            t0, hedge = started
+            if outcome == "ok":
+                observe("serve.service_ms", (e["t"] - t0) * 1e3)
+                if hedge:
+                    count("serve.hedges", outcome="won")
+            elif outcome == "cancelled":
+                count("serve.hedges", outcome="cancelled")
+            elif outcome == "crash":
+                count("serve.crashes", device=dev)
+            else:
+                count("serve.integrity_failures", device=dev)
+        elif kind == "terminal":
+            state = attrs["state"]
+            if state == SHED:
+                count("serve.shed", reason=attrs["reason"])
+            else:
+                count(f"serve.{state}")
+            if "latency" in attrs:
+                # only a finished attempt stamps the end-to-end latency
+                observe("serve.latency_ms", attrs["latency"] * 1e3)
+        elif kind == "retry_scheduled":
+            count("serve.retries")
+        elif kind == "retry_denied":
+            count("serve.retry_denied", reason=attrs["reason"])
+        elif kind == "hedge_skip":
+            suppressed = attrs["reason"] == "domain_breaker"
+            count("serve.hedges",
+                  outcome="suppressed" if suppressed else "skipped")
+        elif kind == "batch_formed":
+            count("serve.batches", reason=attrs["reason"])
+        elif kind == "quarantine":
+            count("serve.quarantines", device=dev)
+        elif kind == "readmit":
+            count("serve.readmissions", device=dev)
+        elif kind == "device_dead":
+            count("serve.dead_devices", device=dev)
+        elif kind == "domain_outage":
+            count("serve.domain_outages", domain=attrs["domain"])
+            if attrs["swept"]:
+                count("serve.mass_quarantines", attrs["swept"],
+                      domain=attrs["domain"])
+        elif kind == "domain_recovered":
+            count("serve.domain_recoveries", domain=attrs["domain"])
+        elif kind == "device_replaced":
+            count("serve.replacements", device=attrs["slot"])
+            led.replacements.append(dict(
+                slot=attrs["slot"], device=dev, t=e["t"], warm_start=False,
+                inherited_frames=0, domain=attrs["domain"],
+            ))
+        elif kind == "store_warmstart":
+            count("persist.warmstarts")
+            count("persist.warmstart_frames", attrs["frames"])
+            if led.replacements and led.replacements[-1]["device"] == dev:
+                # a spare warm-starts right after it is admitted
+                led.replacements[-1]["warm_start"] = True
+                led.replacements[-1]["inherited_frames"] = attrs["frames"]
+        elif kind == "qos_change":
+            count("serve.qos_changes", direction=attrs["direction"])
+            led.qos_changes.append(dict(
+                t=e["t"], level=attrs["level"], rung=attrs["rung"],
+                direction=attrs["direction"], queue_depth=e["queue_depth"],
+                burn=attrs["burn"],
+            ))
+    return led
 
 
 @dataclass
@@ -140,8 +336,6 @@ class ServeReport:
     def p99(self) -> float:
         return self.latency_percentile(99.0)
 
-    # -- hedging -------------------------------------------------------------
-
     # -- windowed SLO monitor ------------------------------------------------
 
     def slo_series(self, window: float | None = None) -> list:
@@ -216,11 +410,12 @@ class ServeReport:
             if self.end_time > 0
             else 1
         )
+        served = self._served()
         series = []
         for i in range(n):
             lo, hi = i * width, (i + 1) * width
             mix = {name: 0 for name in self.qos_rungs}
-            for r in self._served():
+            for r in served:
                 if r.finish is None:
                     continue
                 if lo <= r.finish < hi or (i == n - 1 and r.finish == hi):

@@ -33,7 +33,7 @@ import numpy as np
 from repro.core.engine import BaseEngine, EngineConfig
 from repro.gpu.device import GPUSpec
 from repro.obs.metrics import get_registry
-from repro.obs.tracing import Tracer
+from repro.obs.timeline import TimelineRecorder
 from repro.profiling.parallel import device_labels, least_loaded
 from repro.robust.brownout import BrownoutConfig, BrownoutController
 from repro.robust.domains import DomainTopology, RetryBudget, StormConfig
@@ -51,7 +51,7 @@ from repro.serve.batching import BatchingConfig, FormingBatch, batch_close_time
 from repro.serve.cluster import DeviceWorker, LatencyOracle
 from repro.serve.health import DEAD, HEALTHY, QUARANTINED, FleetHealth
 from repro.serve.queue import AdmissionQueue
-from repro.serve.report import ServeReport
+from repro.serve.report import ServeReport, fold_journal
 from repro.serve.request import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -248,12 +248,15 @@ class Attempt:
 class Server:
     """Event loop over one fleet; see the module docstring.
 
-    Pass a :class:`~repro.obs.timeline.TimelineRecorder` to flight-
-    record the campaign: every lifecycle transition (arrival, admit,
-    shed, dequeue, dispatch, crash, integrity failure, retry, hedge,
-    probe, quarantine, terminal state) is journaled as a typed event
-    stamped with the sim clock, device label, queue depth, and the
-    request's remaining deadline slack at that instant.
+    Every campaign is flight-recorded into ``recorder`` (a fresh
+    :class:`~repro.obs.timeline.TimelineRecorder` when omitted): every
+    lifecycle transition (arrival, admit, shed, dequeue, dispatch,
+    crash, integrity failure, retry, hedge, probe, quarantine, terminal
+    state) is journaled as a typed event stamped with the sim clock,
+    device label, queue depth, and the request's remaining deadline
+    slack at that instant.  The report's tallies and the ``serve.*``
+    counters and histograms are folded from this journal when the
+    campaign ends (:func:`~repro.serve.report.fold_journal`).
     """
 
     def __init__(
@@ -301,43 +304,40 @@ class Server:
 
             self.store = ArtifactStore(config.store_dir)
         self._spares_left = config.spares
-        #: replacement records: {"slot", "device", "t", "warm_start",
-        #: "inherited_frames"} per admitted spare
-        self.replacements: list = []
         #: (model, scene) frames durably persisted this campaign (plus
         #: those recovered from the store on startup) — what a
         #: replacement device inherits instead of an empty cache
         self._fleet_seen: set = set()
-        self.recorder = recorder
-        if recorder is not None:
-            recorder.meta.update(
-                seed=config.seed,
-                preset=config.preset,
-                devices=list(self.labels),
-                verify_integrity=config.verify_integrity,
-                steady_state=config.steady_state,
-                brownout=config.brownout is not None,
-                spares=config.spares,
-                store=config.store_dir is not None,
-                domains=(
-                    self.topology.to_json()
-                    if not self.topology.trivial
-                    else None
-                ),
-                storm=config.storm is not None,
-                domain_defense=config.domain_defense,
+        self.recorder = (
+            recorder if recorder is not None else TimelineRecorder()
+        )
+        self.recorder.meta.update(
+            seed=config.seed,
+            preset=config.preset,
+            devices=list(self.labels),
+            verify_integrity=config.verify_integrity,
+            steady_state=config.steady_state,
+            brownout=config.brownout is not None,
+            spares=config.spares,
+            store=config.store_dir is not None,
+            domains=(
+                self.topology.to_json()
+                if not self.topology.trivial
+                else None
+            ),
+            storm=config.storm is not None,
+            domain_defense=config.domain_defense,
+        )
+        if config.batching is not None:
+            # added only when batching is on: batching=None journal
+            # headers stay byte-exact with pre-batching campaigns
+            self.recorder.meta.update(
+                batching=True, max_batch=config.batching.max_batch
             )
-            if config.batching is not None:
-                # added only when batching is on: batching=None journal
-                # headers stay byte-exact with pre-batching campaigns
-                recorder.meta.update(
-                    batching=True, max_batch=config.batching.max_batch
-                )
         self.queue = AdmissionQueue(
             config.queue_capacity, on_shed=self._on_queue_shed
         )
         self.rng = np.random.default_rng(config.seed + 1)
-        self.tracer = Tracer()
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
@@ -367,20 +367,6 @@ class Server:
         #: cache.  Marked at dispatch: the mapping stage runs first, so
         #: even an attempt that later crashes leaves the cache primed.
         self._seen: list = [set() for _ in self.workers]
-        # report tallies
-        self.retries = 0
-        self.hedges_launched = 0
-        self.hedges_won = 0
-        self.hedges_cancelled = 0
-        self.hedges_suppressed = 0
-        self.integrity_failures = 0
-        self.warm_dispatches = 0
-        self.cold_dispatches = 0
-        #: request attempts dispatched (primary + retry + hedge, not
-        #: probes) — the numerator of the storm amplification factor.
-        #: A batched attempt counts once: coalescing is the point.
-        self.attempts_dispatched = 0
-        self.retry_denied = {"budget": 0, "deadline": 0}
         # -- batching scheduler state --
         self.batching = config.batching
         #: without batching every request is a batch of one
@@ -393,8 +379,6 @@ class Server:
         #: monotonically increasing token invalidating stale
         #: ``batch_close`` heap events after a forming batch grows
         self._close_token = 0
-        #: batch size -> batched attempts dispatched at that size
-        self.batch_mix: dict = {}
 
     # -- event plumbing ------------------------------------------------------
 
@@ -412,13 +396,11 @@ class Server:
         device: str | None = None,
         **attrs,
     ) -> None:
-        """Journal one lifecycle event (no-op without a recorder).
+        """Journal one lifecycle event.
 
         Queue depth is sampled at emission time; slack is the request's
         remaining deadline budget at this instant.
         """
-        if self.recorder is None:
-            return
         self.recorder.emit(
             kind,
             self.now,
@@ -447,17 +429,45 @@ class Server:
             return 1.0
         return float(np.exp(self.rng.normal(0.0, sigma)))
 
-    def _service_time(
+    def _start_attempt(
         self,
-        model: str,
-        worker: DeviceWorker,
-        warm: bool = False,
-        quality=None,
-    ) -> float:
-        base = self.oracle.base_latency(
-            model, worker.spec, warm=warm, quality=quality
+        w: DeviceWorker,
+        kind: str,
+        base: float,
+        members: tuple = (),
+        batch_id: int | None = None,
+    ) -> Attempt:
+        """Start one attempt on ``w`` and arm its completion.
+
+        Request attempts and probes draw their service time and faults
+        the same way, in the same order: one service draw, one crash
+        draw, one corruption draw.
+        """
+        service = base * stall_factor(w.label) * self._noise()
+        degrade = self._domain_fault(w.label, "domain_degrade")
+        if degrade is not None:
+            service *= domain_degrade_factor(degrade["severity"])
+        will_fail = maybe_crash_device(w.label)
+        if not will_fail and self._domain_fault(w.label, "domain_outage"):
+            will_fail = True
+        # an SDC attempt runs its *full* service time: nothing crashes,
+        # the corruption is only discoverable once the result exists
+        will_corrupt = not will_fail and maybe_silent_corruption(w.label)
+        attempt = Attempt(
+            id=len(self._attempts),
+            device=w.index,
+            kind=kind,
+            start=self.now,
+            finish=self.now + (0.5 * service if will_fail else service),
+            will_fail=will_fail,
+            will_corrupt=will_corrupt,
+            members=members,
+            batch_id=batch_id,
         )
-        return base * stall_factor(worker.label) * self._noise()
+        self._attempts[attempt.id] = attempt
+        w.start()
+        self._push(attempt.finish, "complete", attempt.id)
+        return attempt
 
     def deadline_for(self, model: str) -> float:
         """SLO budget: factor x base latency on the slowest card."""
@@ -477,7 +487,12 @@ class Server:
     # -- campaign entry ------------------------------------------------------
 
     def run(self, requests: list) -> ServeReport:
-        """Serve ``requests`` to completion; returns the campaign report."""
+        """Serve ``requests`` to completion; returns the campaign report.
+
+        The run's journal is folded once at the end: the report takes
+        its tallies from it and the current metrics registry receives
+        its ``serve.*`` counters and histograms.
+        """
         cfg = self.config
         self._requests = requests
         models = sorted({r.model for r in requests}) or ["minkunet_0.5x_kitti"]
@@ -509,6 +524,7 @@ class Server:
                 b.ladder.quality_at(level) for level in range(b.ladder.floor + 1)
             ]
             get_registry().gauge("serve.qos_level").set(0)
+        first_event = len(self.recorder.events)
         self._warmstart_fleet()
         # correlated fault windows are drawn once, pre-event-loop, from
         # the injector's RNG — zero draws when no domain kind is armed,
@@ -517,30 +533,31 @@ class Server:
         self._domain_windows = draw_domain_windows(
             self.topology.names, horizon
         )
-        with self.tracer.span("serve.campaign", requests=len(requests)):
-            for req in requests:
-                self._push(req.arrival, "arrival", req.id)
-            for win in self._domain_windows:
-                if win["kind"] == "domain_outage":
-                    self._push(win["start"], "domain_down", win)
-            if self.brownout is not None and requests:
-                self._push(self._qos_interval, "qos", None)
-            handlers = {
-                "arrival": self._on_arrival,
-                "complete": self._on_complete,
-                "retry": self._on_retry,
-                "hedge": self._on_hedge,
-                "probe": self._on_probe,
-                "qos": self._on_qos_tick,
-                "domain_down": self._on_domain_down,
-                "batch_close": self._on_batch_close,
-            }
-            while self._heap:
-                when, _, kind, ref = heapq.heappop(self._heap)
-                self.now = when
-                handlers[kind](ref)
-            self._final_sweep()
-        return self._report()
+        for req in requests:
+            self._push(req.arrival, "arrival", req.id)
+        for win in self._domain_windows:
+            if win["kind"] == "domain_outage":
+                self._push(win["start"], "domain_down", win)
+        if self.brownout is not None and requests:
+            self._push(self._qos_interval, "qos", None)
+        handlers = {
+            "arrival": self._on_arrival,
+            "complete": self._on_complete,
+            "retry": self._on_retry,
+            "hedge": self._on_hedge,
+            "probe": self._on_probe,
+            "qos": self._on_qos_tick,
+            "domain_down": self._on_domain_down,
+            "batch_close": self._on_batch_close,
+        }
+        while self._heap:
+            when, _, kind, ref = heapq.heappop(self._heap)
+            self.now = when
+            handlers[kind](ref)
+        self._final_sweep()
+        ledger = fold_journal(self.recorder.events[first_event:])
+        ledger.publish(get_registry())
+        return self._report(ledger)
 
     def _req(self, req_id: int) -> Request:
         return self._requests[req_id]
@@ -549,8 +566,7 @@ class Server:
 
     def _on_arrival(self, req_id: int) -> None:
         req = self._req(req_id)
-        get_registry().counter("serve.arrivals").inc()
-        if self.recorder is not None and not req.trace_id:
+        if not req.trace_id:
             req.trace_id = f"{self.config.seed & 0xFFFFFFFF:08x}-{req.id:06d}"
         self._emit(
             "arrival", req,
@@ -740,7 +756,6 @@ class Server:
                 reason=reason,
                 held=self.now - fb.opened,
             )
-            get_registry().counter("serve.batches", reason=reason).inc()
         self._dispatch(members, fb.device, "batch", fb.id)
 
     def _dispatch(
@@ -762,28 +777,14 @@ class Server:
         campaigns, the pre-batching ``dispatch`` event otherwise.
         """
         w = self.workers[d]
-        reg = get_registry()
         n = len(members)
         batched = self.batching is not None
-        if kind != "hedge":
-            for m in members:
-                if not m.retries:
-                    reg.histogram("serve.wait_ms").observe(
-                        (self.now - m.arrival) * 1e3
-                    )
         warm = False
         if self.config.steady_state:
             # scene-pure by construction, so one frame keys the batch
             frame = (members[0].model, members[0].scene)
             warm = frame in self._seen[d]
             self._seen[d].add(frame)
-            if warm:
-                self.warm_dispatches += 1
-            else:
-                self.cold_dispatches += 1
-            reg.counter(
-                "serve.mapcache", result="warm" if warm else "cold"
-            ).inc()
             if self.store is not None and frame not in self._fleet_seen:
                 self._fleet_seen.add(frame)
                 self._persist_frame(frame)
@@ -795,35 +796,10 @@ class Server:
             for m in members:
                 m.qos_level = self.brownout.level
                 m.qos_rung = self.brownout.rung
-            reg.counter(
-                "serve.qos_dispatches", rung=self.brownout.rung
-            ).inc(n)
         base = self.oracle.batch_latency(
             members[0].model, w.spec, n, warm=warm, quality=quality
         )
-        service = base * stall_factor(w.label) * self._noise()
-        degrade = self._domain_fault(w.label, "domain_degrade")
-        if degrade is not None:
-            service *= domain_degrade_factor(degrade["severity"])
-        will_fail = maybe_crash_device(w.label)
-        if not will_fail and self._domain_fault(w.label, "domain_outage"):
-            will_fail = True
-        # an SDC attempt runs its *full* service time: nothing crashes,
-        # the corruption is only discoverable once the result exists
-        will_corrupt = not will_fail and maybe_silent_corruption(w.label)
-        dur = 0.5 * service if will_fail else service
-        attempt = Attempt(
-            id=len(self._attempts),
-            device=d,
-            kind=kind,
-            start=self.now,
-            finish=self.now + dur,
-            will_fail=will_fail,
-            will_corrupt=will_corrupt,
-            members=tuple(members),
-            batch_id=batch_id,
-        )
-        self._attempts[attempt.id] = attempt
+        attempt = self._start_attempt(w, kind, base, tuple(members), batch_id)
         for m in members:
             m.state = RUNNING
             m.in_flight += 1
@@ -831,56 +807,32 @@ class Server:
             if batched:
                 m.batches.append(batch_id)
             self._live.setdefault(m.id, []).append(attempt.id)
-        w.start(attempt.id)
-        self.attempts_dispatched += 1
-        lead = members[0]
-        if batched:
-            self.batch_mix[n] = self.batch_mix.get(n, 0) + 1
-            reg.histogram("serve.batch_size").observe(n)
-            label = kind
-        else:
-            label = self._member_kind(lead, kind)
-        reg.counter("serve.dispatches", kind=label).inc()
-        for m in members:
+            # the member's journal kind and causal parent: a hedge
+            # links to the hedged attempt, a retry to its last failure
+            if kind == "hedge":
+                mkind, mparent = "hedge", parent
+            elif m.retries:
+                mkind, mparent = "retry", self._last_failed.get(m.id)
+            else:
+                mkind, mparent = "primary", None
             attrs = {"batch": batch_id, "size": n} if batched else {}
-            attrs.update(
-                kind=self._member_kind(m, kind), model=m.model, scene=m.scene
-            )
+            attrs.update(kind=mkind, model=m.model, scene=m.scene)
             if self.config.steady_state:
                 attrs["warm"] = warm
             if self.brownout is not None:
                 attrs["qos"] = m.qos_rung
-            mparent = (
-                parent
-                if kind == "hedge"
-                else (self._last_failed.get(m.id) if m.retries else None)
-            )
             if mparent is not None:
                 attrs["parent"] = mparent
             self._emit(
                 "batch_dispatch" if batched else "dispatch", m,
                 attempt=attempt.id, device=w.label, **attrs,
             )
-        with self.tracer.span(
-            "serve.dispatch",
-            request=lead.id, batch=batch_id, size=n,
-            device=w.label, kind=label,
-        ):
-            pass
-        self._push(attempt.finish, "complete", attempt.id)
         if self.config.hedge.enabled and kind != "hedge":
             self._push(
-                self.now + self._hedge_delay(lead.model, w.spec),
+                self.now + self._hedge_delay(members[0].model, w.spec),
                 "hedge",
                 attempt.id,
             )
-
-    @staticmethod
-    def _member_kind(req: Request, kind: str) -> str:
-        """The journal's dispatch kind of one member of a ``kind`` attempt."""
-        if kind == "hedge":
-            return "hedge"
-        return "retry" if req.retries else "primary"
 
     def _place(self, eligible: list, parent: int | None) -> int:
         """Least-loaded eligible device, domain-diverse after a failure.
@@ -951,7 +903,6 @@ class Server:
         """
         a = self._attempts[attempt_id]
         lead = a.members[0]
-        reg = get_registry()
         if a.done or a.cancelled or lead.terminal or lead.hedged:
             return
         if (
@@ -961,8 +912,6 @@ class Server:
         ):
             # a mass outage makes p95-triggered duplicates pure load
             # amplification onto the surviving domains
-            self.hedges_suppressed += 1
-            reg.counter("serve.hedges", outcome="suppressed").inc()
             self._emit("hedge_skip", lead, reason="domain_breaker")
             return
         eligible = [
@@ -973,7 +922,6 @@ class Server:
             for w in self.workers
         ]
         if not any(eligible):
-            reg.counter("serve.hedges", outcome="skipped").inc()
             self._emit("hedge_skip", lead, reason="no_device")
             return
         if self._defended:
@@ -985,19 +933,12 @@ class Server:
             if not any(diverse):
                 # a same-domain hedge shares the primary's failure
                 # domain — it hedges nothing worth hedging
-                reg.counter("serve.hedges", outcome="skipped").inc()
                 self._emit("hedge_skip", lead, reason="no_cross_domain")
                 return
             eligible = diverse
         d = least_loaded([w.busy_time for w in self.workers], eligible)
         for m in a.members:
             m.hedged = True
-        self.hedges_launched += 1
-        reg.counter("serve.hedges", outcome="launched").inc()
-        with self.tracer.span(
-            "serve.hedge", request=lead.id, device=self.labels[d]
-        ):
-            pass
         self._dispatch(list(a.members), d, "hedge", a.batch_id, parent=a.id)
 
     def _on_complete(self, attempt_id: int) -> None:
@@ -1037,18 +978,10 @@ class Server:
         independently in member order — each backoff draw comes from
         the shared RNG in that deterministic order.
         """
-        reg = get_registry()
         if outcome == "crash":
-            reg.counter("serve.crashes", device=w.label).inc()
-            span = "serve.crash"
             reason = "every attempt crashed"
         else:
-            self.integrity_failures += 1
-            reg.counter("serve.integrity_failures", device=w.label).inc()
-            span = "serve.integrity_failure"
             reason = "result failed integrity verification"
-        with self.tracer.span(span, request=a.members[0].id, device=w.label):
-            pass
         for m in a.members:
             if outcome == "integrity_fail":
                 m.integrity_failures += 1
@@ -1070,10 +1003,6 @@ class Server:
         if opened is not None:
             domain, swept = opened
             self._emit("domain_outage", domain=domain, swept=len(swept))
-            with self.tracer.span(
-                "serve.domain_outage", domain=domain, swept=len(swept)
-            ):
-                pass
             for label in swept:
                 self._emit("quarantine", device=label)
                 self._push(
@@ -1084,7 +1013,6 @@ class Server:
 
     def _member_verdict(self, req: Request, reason: str) -> None:
         """Retry-or-terminal decision for one request whose attempt failed."""
-        reg = get_registry()
         if req.terminal:
             return
         if req.in_flight > 0:
@@ -1101,21 +1029,16 @@ class Server:
                 if denial is None:
                     req.retries += 1
                     req.state = QUEUED
-                    self.retries += 1
-                    reg.counter("serve.retries").inc()
                     self._emit("retry_scheduled", req, retry=req.retries,
                                delay=delay)
                     self._push(self.now + delay, "retry", req.id)
                     return
-                self.retry_denied[denial] += 1
-                reg.counter("serve.retry_denied", reason=denial).inc()
                 self._emit("retry_denied", req, reason=denial)
                 if denial == "deadline":
                     # a doomed retry is a deadline miss we already know
                     # about — resolve it now instead of burning a slot
                     req.error = "retry denied: insufficient deadline slack"
                     req.resolve(DEADLINE_EXCEEDED, self.now)
-                    reg.counter("serve.deadline_exceeded").inc()
                     self._note_terminal(completed=False)
                     self._emit("terminal", req, state=DEADLINE_EXCEEDED,
                                error=req.error)
@@ -1123,7 +1046,6 @@ class Server:
                 # budget denial falls through to FAILED
         req.error = reason
         req.resolve(FAILED, self.now)
-        reg.counter("serve.failed").inc()
         self._note_terminal(completed=False)
         self._emit("terminal", req, state=FAILED, error=reason)
 
@@ -1157,7 +1079,6 @@ class Server:
 
     def _attempt_succeeded(self, a: Attempt, w: DeviceWorker) -> None:
         """An attempt finished: every member gets its verdict."""
-        reg = get_registry()
         members = a.members
         self.health.record_success(w.label)
         if self.retry_budget is not None:
@@ -1166,13 +1087,10 @@ class Server:
             # of what actually succeeds
             for _ in members:
                 self.retry_budget.credit()
-            reg.gauge("serve.retry_budget_tokens").set(
+            get_registry().gauge("serve.retry_budget_tokens").set(
                 self.retry_budget.tokens
             )
-        w.completed += len(members)
-        service = self.now - a.start
-        self._service_samples.append(service)
-        reg.histogram("serve.service_ms").observe(service * 1e3)
+        self._service_samples.append(self.now - a.start)
         for m in members:
             self._emit(
                 "attempt_finish", m,
@@ -1189,8 +1107,6 @@ class Server:
             twin = self._attempts[tid]
             twin.cancelled = True
             self.workers[twin.device].release(self.now - twin.start)
-            self.hedges_cancelled += 1
-            reg.counter("serve.hedges", outcome="cancelled").inc()
             for m in twin.members:
                 self._live[m.id].remove(tid)
                 m.in_flight -= 1
@@ -1200,31 +1116,22 @@ class Server:
                     device=self.workers[twin.device].label,
                     outcome="cancelled",
                 )
-        if a.kind == "hedge":
-            self.hedges_won += 1
-            reg.counter("serve.hedges", outcome="won").inc()
         for m in members:
             if a.kind == "hedge":
                 m.hedge_won = True
             if a.will_corrupt:
                 # verification off: the SDC hole ships to every member
                 m.corrupted = True
-                reg.counter(
-                    "serve.corrupted_completions", device=w.label
-                ).inc()
             if self.now <= m.deadline:
                 m.resolve(COMPLETED, self.now)
-                reg.counter("serve.completed").inc()
                 self._note_terminal(completed=True)
                 self._emit("terminal", m, state=COMPLETED,
                            latency=m.latency, corrupted=m.corrupted)
             else:
                 m.resolve(DEADLINE_EXCEEDED, self.now)
-                reg.counter("serve.deadline_exceeded").inc()
                 self._note_terminal(completed=False)
                 self._emit("terminal", m, state=DEADLINE_EXCEEDED,
                            latency=m.latency)
-            reg.histogram("serve.latency_ms").observe(m.latency * 1e3)
 
     def _on_qos_tick(self, _ref) -> None:
         """One brownout-controller tick: observe the window, maybe step.
@@ -1244,13 +1151,7 @@ class Server:
             finished=finished,
         )
         if change is not None:
-            reg = get_registry()
-            reg.gauge("serve.qos_level").set(ctl.level)
-            reg.counter("serve.qos_changes", direction=change["direction"]).inc()
-            with self.tracer.span(
-                "serve.qos_change", level=ctl.level, rung=ctl.rung
-            ):
-                pass
+            get_registry().gauge("serve.qos_level").set(ctl.level)
             self._emit(
                 "qos_change",
                 level=change["level"],
@@ -1281,32 +1182,11 @@ class Server:
             self._push(self.now + self._probe_cooldown, "probe", d)
             return
         self.health.begin_probe(w.label)
-        service = self._service_time(self._probe_model, w)
-        degrade = self._domain_fault(w.label, "domain_degrade")
-        if degrade is not None:
-            service *= domain_degrade_factor(degrade["severity"])
-        will_fail = maybe_crash_device(w.label)
-        if not will_fail and self._domain_fault(w.label, "domain_outage"):
-            will_fail = True
-        will_corrupt = not will_fail and maybe_silent_corruption(w.label)
-        dur = 0.5 * service if will_fail else service
-        attempt = Attempt(
-            id=len(self._attempts),
-            device=d,
-            kind="probe",
-            start=self.now,
-            finish=self.now + dur,
-            will_fail=will_fail,
-            will_corrupt=will_corrupt,
-        )
-        self._attempts[attempt.id] = attempt
-        w.start(attempt.id)
-        with self.tracer.span("serve.probe", device=w.label):
-            pass
+        base = self.oracle.base_latency(self._probe_model, w.spec)
+        attempt = self._start_attempt(w, "probe", base)
         self._emit(
             "dispatch", attempt=attempt.id, device=w.label, kind="probe"
         )
-        self._push(attempt.finish, "complete", attempt.id)
 
     # -- the durable tier ----------------------------------------------------
 
@@ -1352,11 +1232,8 @@ class Server:
         if not self._fleet_seen:
             return
         frames = len(self._fleet_seen)
-        reg = get_registry()
         for w in self.workers:
             self._seen[w.index] |= self._fleet_seen
-            reg.counter("persist.warmstarts").inc()
-            reg.counter("persist.warmstart_frames").inc(frames)
             self._emit("store_warmstart", device=w.label, frames=frames)
 
     def _replace_device(self, dead: DeviceWorker) -> None:
@@ -1373,7 +1250,7 @@ class Server:
         if self._spares_left <= 0:
             return
         self._spares_left -= 1
-        label = f"spare{len(self.replacements) + 1}"
+        label = f"spare{self.config.spares - self._spares_left}"
         spare = DeviceWorker(
             index=len(self.workers), label=label, spec=dead.spec
         )
@@ -1399,8 +1276,6 @@ class Server:
         warm_start = self.store is not None and self.config.steady_state
         inherited = set(self._fleet_seen) if warm_start else set()
         self._seen.append(inherited)
-        reg = get_registry()
-        reg.counter("serve.replacements", device=dead.label).inc()
         self._emit(
             "device_replaced",
             device=label,
@@ -1409,36 +1284,18 @@ class Server:
             domain=domain,
         )
         if warm_start:
-            reg.counter("persist.warmstarts").inc()
-            reg.counter("persist.warmstart_frames").inc(len(inherited))
             self._emit("store_warmstart", device=label, frames=len(inherited))
-        self.replacements.append(
-            {
-                "slot": dead.label,
-                "device": label,
-                "t": self.now,
-                "warm_start": warm_start,
-                "inherited_frames": len(inherited),
-                "domain": domain,
-            }
-        )
-        with self.tracer.span(
-            "serve.device_replaced", slot=dead.label, device=label
-        ):
-            pass
         self._pump()
 
     def _finish_probe(self, a: Attempt) -> None:
         w = self.workers[a.device]
-        ok = not a.will_fail and not (
-            a.will_corrupt and self.config.verify_integrity
-        )
         if a.will_fail:
             outcome = "crash"
         elif a.will_corrupt and self.config.verify_integrity:
             outcome = "integrity_fail"
         else:
             outcome = "ok"
+        ok = outcome == "ok"
         self._emit(
             "attempt_finish", attempt=a.id, device=w.label, outcome=outcome
         )
@@ -1450,10 +1307,6 @@ class Server:
                 # one member passing its probe is the evidence the
                 # domain-wide fault has cleared
                 self._emit("domain_recovered", domain=closed)
-                with self.tracer.span(
-                    "serve.domain_recovered", domain=closed
-                ):
-                    pass
             self._pump()
         elif self.health[w.label].state == QUARANTINED:
             self._push(self.now + self._probe_cooldown, "probe", w.index)
@@ -1463,44 +1316,33 @@ class Server:
 
     def _final_sweep(self) -> None:
         """Force every survivor into a terminal state (liveness)."""
-        reg = get_registry()
         for req in self.queue.drain():
             req.shed_reason = "no_capacity"
             req.resolve(SHED, self.now)
-            reg.counter("serve.shed", reason="no_capacity").inc()
             self._emit("terminal", req, state=SHED, reason="no_capacity")
         for req in self._requests:
             if not req.terminal:
                 req.error = req.error or "stranded at campaign end"
                 req.resolve(FAILED, self.now)
-                reg.counter("serve.failed").inc()
                 self._emit("terminal", req, state=FAILED, error=req.error)
 
     # -- report --------------------------------------------------------------
 
-    def _report(self) -> ServeReport:
+    def _report(self, ledger) -> ServeReport:
+        """The campaign report: the ledger's tallies plus policy state."""
         return ServeReport(
+            **ledger.report_fields(),
             requests=list(self._requests),
             fleet=self.health.summary(),
             utilization={
                 w.label: {
                     "busy_time": w.busy_time,
-                    "completed": w.completed,
+                    "completed": ledger.completed.get(w.label, 0),
                 }
                 for w in self.workers
             },
-            hedges_launched=self.hedges_launched,
-            hedges_won=self.hedges_won,
-            hedges_cancelled=self.hedges_cancelled,
-            hedges_suppressed=self.hedges_suppressed,
-            retries=self.retries,
-            attempts=self.attempts_dispatched,
-            retry_denied=dict(self.retry_denied),
             batching=self.batching is not None,
             max_batch=self.max_batch,
-            batch_mix={
-                int(k): int(v) for k, v in sorted(self.batch_mix.items())
-            },
             storm=self.storm is not None,
             domains=(
                 self.topology.to_json()
@@ -1508,14 +1350,10 @@ class Server:
                 else {}
             ),
             domain_summary=self.health.domain_summary(self.now),
-            integrity_failures=self.integrity_failures,
             verify_integrity=self.config.verify_integrity,
             steady_state=self.config.steady_state,
-            warm_dispatches=self.warm_dispatches,
-            cold_dispatches=self.cold_dispatches,
             spares=self.config.spares,
             store_enabled=self.store is not None,
-            replacements=list(self.replacements),
             seed=self.config.seed,
             end_time=self.now,
             slo_window=self.config.slo_window,
@@ -1525,11 +1363,6 @@ class Server:
                 self.brownout.config.ladder.rung_names()
                 if self.brownout is not None
                 else ("full",)
-            ),
-            qos_changes=(
-                list(self.brownout.changes)
-                if self.brownout is not None
-                else []
             ),
         )
 
@@ -1546,9 +1379,8 @@ def run_serve_campaign(
     oracle's engine runs can never trip pipeline fault sites; serve
     campaigns exercise exactly the fleet-level kinds.
 
-    Pass a :class:`~repro.obs.timeline.TimelineRecorder` as
-    ``recorder`` to journal every lifecycle transition (the flight
-    recorder backing ``repro-bench serve --events``).
+    The campaign journals every lifecycle transition into ``recorder``
+    (the flight recorder backing ``repro-bench serve --events``).
     """
     engine = BaseEngine(config=PRESET_FACTORIES[config.preset]())
     oracle = LatencyOracle(
@@ -1558,13 +1390,12 @@ def run_serve_campaign(
         overrides=config.latency_overrides,
     )
     server = Server(config, oracle, recorder=recorder)
-    if recorder is not None:
-        recorder.meta.update(
-            rate=traffic.rate,
-            duration=traffic.duration,
-            models=list(traffic.models),
-            coherence=traffic.coherence,
-        )
+    server.recorder.meta.update(
+        rate=traffic.rate,
+        duration=traffic.duration,
+        models=list(traffic.models),
+        coherence=traffic.coherence,
+    )
     qualities = []
     if config.brownout is not None:
         ladder = config.brownout.ladder

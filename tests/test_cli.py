@@ -174,11 +174,16 @@ class TestServeCli:
         assert d["schema"] == "repro-bench.serve/1"
         assert d["all_terminal"] is True
         assert d["total"] == len(d["requests"])
+        assert d["total"] == sum(d["outcomes"].values())
+        # the straggler is hedged, and every losing twin is cancelled
+        assert d["hedges"]["launched"] > 0
+        assert d["hedges"]["cancelled"] == d["hedges"]["launched"]
         names = {
             json.loads(l)["name"] for l in metrics.read_text().splitlines()
         }
-        assert "serve.arrivals" in names
-        assert "serve.latency_ms" in names
+        for required in ("serve.arrivals", "serve.completed",
+                         "serve.latency_ms", "serve.queue_depth"):
+            assert required in names
         assert any(n.startswith("faults.injected") for n in names)
 
     def test_same_seed_bit_for_bit_json(self, tmp_path, capsys):

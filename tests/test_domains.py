@@ -260,19 +260,18 @@ def rack_health(**kw):
 
 class TestDomainBreakers:
     def test_opens_at_threshold_and_mass_quarantines(self):
-        with use_registry(MetricsRegistry()) as reg:
-            h = rack_health()
-            assert h.record_domain_failure("a0", 0.1) is None
-            opened = h.record_domain_failure("a1", 0.2)
+        h = rack_health()
+        assert h.record_domain_failure("a0", 0.1) is None
+        opened = h.record_domain_failure("a1", 0.2)
         assert opened == ("A", ["a0", "a1"])  # both still HEALTHY -> swept
         assert h["a0"].state == QUARANTINED
         assert h["a1"].state == QUARANTINED
         assert h["b0"].state == HEALTHY
         assert h.any_domain_open and h.domain_open("a0")
         assert not h.domain_open("b0")
-        scal = reg.scalars()
-        assert scal["serve.domain_outages{domain=A}"] == 1.0
-        assert scal["serve.mass_quarantines{domain=A}"] == 2.0
+        assert h.domain_state["A"]["outages"] == 1
+        assert h.domain_state["A"]["mass_quarantined"] == 2
+        assert h["a0"].quarantines == 1 and h["a1"].quarantines == 1
 
     def test_stale_failures_pruned_outside_window(self):
         with use_registry(MetricsRegistry()):
@@ -290,18 +289,17 @@ class TestDomainBreakers:
         assert opened == ("A", ["a1"])  # only a1 left to sweep
 
     def test_readmit_closes_and_accumulates_downtime(self):
-        with use_registry(MetricsRegistry()) as reg:
-            h = rack_health()
-            h.record_domain_failure("a0", 0.1)
-            h.record_domain_failure("a1", 0.2)
-            assert h.maybe_close_domain("a0", 0.7) == "A"
-            assert h.maybe_close_domain("a0", 0.8) is None  # already closed
+        h = rack_health()
+        h.record_domain_failure("a0", 0.1)
+        h.record_domain_failure("a1", 0.2)
+        assert h.maybe_close_domain("a0", 0.7) == "A"
+        assert h.maybe_close_domain("a0", 0.8) is None  # already closed
         assert not h.any_domain_open
+        assert not h.domain_state["A"]["open"]
         summary = h.domain_summary(end_time=1.0)
         assert summary["A"]["down_time"] == pytest.approx(0.5)
         assert summary["A"]["availability"] == pytest.approx(0.5)
         assert summary["B"]["availability"] == 1.0
-        assert reg.scalars()["serve.domain_recoveries{domain=A}"] == 1.0
 
     def test_open_breaker_closed_out_at_horizon(self):
         with use_registry(MetricsRegistry()):

@@ -17,7 +17,9 @@ oracle's pricing.  A refactor of the serve loop must keep every digest.
 
 The module also checks that ``max_batch=1`` is the unbatched fleet:
 every request ends in the same state, at the same instant, on the same
-devices, with the same retries and hedge flags.
+devices, with the same retries and hedge flags; and that each case's
+journal, written to disk and read back, folds to the report's tallies
+and the registry's ``serve.*`` lines.
 
 Regenerate the data file (only when a change of behaviour is intended)
 with ``PYTHONPATH=src python tests/test_serve_goldens.py``.
@@ -26,12 +28,13 @@ with ``PYTHONPATH=src python tests/test_serve_goldens.py``.
 import hashlib
 import json
 import os
+from typing import NamedTuple
 
 import pytest
 
 from repro.gpu.device import RTX_2080TI, RTX_3090
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.timeline import TimelineRecorder
+from repro.obs.timeline import TimelineRecorder, load_journal
 from repro.profiling.trace import to_serve_trace
 from repro.robust.brownout import BrownoutConfig
 from repro.robust.domains import StormConfig
@@ -43,6 +46,7 @@ from repro.serve import (
     TrafficConfig,
     run_serve_campaign,
 )
+from repro.serve.report import ServeReport, fold_journal
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "data", "serve_goldens.json")
 
@@ -108,6 +112,7 @@ ARMS = {
 
 MATRIX = [f"{s}/{a}" for s in SCENARIOS for a in ARMS]
 ENGINE_CASE = "engine/b4-steady"
+CASES = MATRIX + [ENGINE_CASE]
 
 
 def _canonical(obj) -> str:
@@ -118,8 +123,15 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def run_case(case: str, store_root: str) -> tuple:
-    """``(report, digests)`` of one golden case."""
+class CaseRun(NamedTuple):
+    report: ServeReport
+    digests: dict
+    recorder: TimelineRecorder
+    registry: MetricsRegistry
+
+
+def run_case(case: str, store_root: str) -> CaseRun:
+    """One golden case's campaign, with the digests of its outputs."""
     if case == ENGINE_CASE:
         config = ServeConfig(
             devices=(RTX_3090, RTX_3090),
@@ -158,7 +170,7 @@ def run_case(case: str, store_root: str) -> tuple:
         "trace": _digest(_canonical(trace)),
         "metrics": _digest(reg.to_jsonl()),
     }
-    return report, digests
+    return CaseRun(report, digests, recorder, reg)
 
 
 @pytest.fixture(scope="module")
@@ -167,10 +179,51 @@ def goldens():
         return json.load(f)
 
 
-@pytest.mark.parametrize("case", MATRIX + [ENGINE_CASE])
-def test_campaign_matches_golden(case, goldens, tmp_path):
-    _, digests = run_case(case, str(tmp_path))
-    assert digests == goldens[case]
+@pytest.fixture(scope="module")
+def campaigns(tmp_path_factory):
+    """case -> its :class:`CaseRun`, each campaign run once per module."""
+    runs: dict = {}
+
+    def get(case: str) -> CaseRun:
+        if case not in runs:
+            store_root = tmp_path_factory.mktemp("case")
+            runs[case] = run_case(case, str(store_root))
+        return runs[case]
+
+    return get
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_campaign_matches_golden(case, goldens, campaigns):
+    assert campaigns(case).digests == goldens[case]
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_journal_file_folds_to_report_and_metrics(case, campaigns, tmp_path):
+    """The journal file alone, float reprs and JSON nulls included,
+    reproduces every tally of the report and every folded metric."""
+    run = campaigns(case)
+    path = tmp_path / "events.jsonl"
+    run.recorder.write(str(path))
+    _, events = load_journal(str(path))
+    ledger = fold_journal(events)
+    fields = ledger.report_fields()
+    assert fields == {name: getattr(run.report, name) for name in fields}
+    assert ledger.completed == {
+        label: u["completed"]
+        for label, u in run.report.utilization.items()
+        if u["completed"]
+    }
+    folded = MetricsRegistry()
+    ledger.publish(folded)
+    names = {m["name"] for m in folded.collect()}
+    live = run.registry.collect()
+    assert folded.collect() == [m for m in live if m["name"] in names]
+    # every serve.* counter and histogram is a folded one
+    assert {
+        m["name"] for m in live
+        if m["name"].startswith("serve.") and m["type"] != "gauge"
+    } <= names
 
 
 def _outcomes(report) -> list:
@@ -184,20 +237,20 @@ def _outcomes(report) -> list:
 
 
 @pytest.mark.parametrize("scenario", list(SCENARIOS))
-def test_batch_of_one_is_the_unbatched_fleet(scenario, tmp_path):
-    solo, _ = run_case(f"{scenario}/none", str(tmp_path / "none"))
-    ones, _ = run_case(f"{scenario}/b1", str(tmp_path / "b1"))
+def test_batch_of_one_is_the_unbatched_fleet(scenario, campaigns):
+    solo = campaigns(f"{scenario}/none").report
+    ones = campaigns(f"{scenario}/b1").report
     assert _outcomes(ones) == _outcomes(solo)
     assert ones.attempts == solo.attempts
     assert ones.hedges_launched == solo.hedges_launched
 
 
-def test_matrix_exercises_hedges_and_batches(tmp_path):
-    report, _ = run_case("faults/none", str(tmp_path))
+def test_matrix_exercises_hedges_and_batches(campaigns):
+    report = campaigns("faults/none").report
     assert report.hedges_launched > 0
     assert report.hedges_won > 0
     assert report.integrity_failures > 0
-    report, _ = run_case("overload/b4", str(tmp_path))
+    report = campaigns("overload/b4").report
     assert report.mean_batch_size > 1.0
 
 
@@ -205,9 +258,9 @@ if __name__ == "__main__":
     import tempfile
 
     out = {}
-    for case in MATRIX + [ENGINE_CASE]:
+    for case in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            out[case] = run_case(case, tmp)[1]
+            out[case] = run_case(case, tmp).digests
     with open(GOLDENS, "w") as f:
         json.dump(out, f, indent=1, sort_keys=True)
         f.write("\n")

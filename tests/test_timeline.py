@@ -206,6 +206,40 @@ class TestValidator:
         assert any("dispatched on" in p
                    for p in validate_journal(rec.header(), rec.events))
 
+    def test_finish_request_must_match_dispatch(self):
+        """A campaign journal with one successful finish credited to a
+        different live request: every other invariant still holds, so
+        only the attempt's request check can catch it."""
+        _, rec, _ = recorded_campaign()
+        events = [dict(e) for e in rec.events]
+        arrival = {}
+        terminal = {}
+        for e in events:
+            if e["kind"] == "arrival":
+                arrival[e["request"]] = e["seq"]
+            elif e["kind"] == "terminal":
+                terminal[e["request"]] = e["seq"]
+        finish = next(
+            e for e in events
+            if e["kind"] == "attempt_finish"
+            and e["request"] is not None
+            and e["attrs"]["outcome"] == "ok"
+            and any(
+                r != e["request"] and arrival[r] < e["seq"] < terminal[r]
+                for r in arrival
+            )
+        )
+        owner = finish["request"]
+        other = next(
+            r for r in arrival
+            if r != owner and arrival[r] < finish["seq"] < terminal[r]
+        )
+        finish["request"] = other
+        assert validate_journal(rec.header(), events) == [
+            f"event {finish['seq']}: attempt {finish['attempt']} finished "
+            f"for request {other}, dispatched for {owner}"
+        ]
+
 
 # -- windowed SLO monitor --------------------------------------------------
 
