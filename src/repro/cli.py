@@ -18,9 +18,11 @@ nested-span Chrome trace (open in Perfetto), ``--metrics`` a JSONL
 metrics dump, ``--json`` a machine-readable snapshot, ``--report`` a
 per-layer breakdown.  ``regress`` snapshots a baseline on first run and
 on later runs exits nonzero when modeled latency, stage times, or any
-gated metric drifts past tolerance.  ``chaos`` runs seeded
-fault-injection campaigns end to end (see :mod:`repro.robust.chaos`)
-and exits nonzero unless every trial survives with bit-exact recovery.
+gated metric drifts past tolerance, or when the baseline was taken
+under another model, engine, device, scale, sample count or seed.
+``chaos`` runs seeded fault-injection campaigns end to end (see
+:mod:`repro.robust.chaos`) and exits nonzero unless every trial
+survives with bit-exact recovery.
 ``serve`` drives a simulated-clock serving campaign — Poisson traffic
 over a device fleet with deadlines, retry/hedging, and fleet health
 (see :mod:`repro.serve`) — and exits nonzero on any non-terminal
@@ -58,6 +60,7 @@ from repro.obs.regress import (
     CHAOS_SCHEMA,
     DEFAULT_TOLERANCE,
     compare_snapshots,
+    config_mismatch,
     format_report,
     load_snapshot,
     snapshot,
@@ -246,6 +249,13 @@ def cmd_regress(args) -> int:
         baseline = load_snapshot(args.baseline)
     except ValueError as e:
         raise SystemExit(str(e))
+    mismatched = config_mismatch(baseline, current)
+    if mismatched:
+        print(f"FAIL baseline {args.baseline} is from another configuration:")
+        for line in mismatched:
+            print(f"  {line}")
+        print("  (match its flags, or pass --update to rewrite it)")
+        return 1
     tolerances = {}
     for spec in args.tol:
         key, _, tol = spec.rpartition("=")

@@ -7,6 +7,11 @@ writes a snapshot as the baseline, then diffs later runs against it:
 any gated value drifting past its tolerance fails the gate (nonzero
 exit), which turns every optimization PR into a measurable change.
 
+A baseline gates only a run of the configuration it was taken under:
+:func:`config_mismatch` names every run key (``CONFIG_KEYS``) on which
+the two snapshots differ, and ``regress`` fails on any of them before
+diffing a single value.
+
 Tolerances are *relative*; per-key overrides accept ``fnmatch``
 patterns, so ``--tol 'mem.*=0.10'`` loosens all memory counters at
 once.  Keys present on only one side are reported but do not fail the
@@ -28,6 +33,10 @@ CHAOS_SCHEMA = "repro-bench.chaos/1"
 #: (deterministic given model/input/device), so the default is tight;
 #: loosen per key for anything intentionally noisy.
 DEFAULT_TOLERANCE = 0.02
+
+#: The run configuration a snapshot records.  Values from different
+#: configurations are not comparable, whatever the tolerance.
+CONFIG_KEYS = ("model", "engine", "device", "scale", "samples", "seed")
 
 
 def snapshot(
@@ -77,6 +86,15 @@ def load_snapshot(path: str, schema: str = SNAPSHOT_SCHEMA) -> dict:
             f"(schema {snap.get('schema')!r}, expected {schema!r})"
         )
     return snap
+
+
+def config_mismatch(baseline: dict, current: dict) -> list:
+    """One ``key: baseline -> current`` line per differing config key."""
+    return [
+        f"{key}: {baseline.get(key)!r} -> {current.get(key)!r}"
+        for key in CONFIG_KEYS
+        if baseline.get(key) != current.get(key)
+    ]
 
 
 @dataclass(frozen=True)

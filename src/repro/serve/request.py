@@ -51,9 +51,9 @@ class Request:
     #: voxelize to the same coordinates (temporal coherence), so a
     #: device that already served the scene has its mapping cached
     scene: int = 0
-    #: campaign-unique causal-trace id, assigned by the server's flight
-    #: recorder at arrival (``{seed:08x}-{id:06d}``); empty when the
-    #: campaign runs without a recorder
+    #: campaign-unique causal-trace id (``{seed:08x}-{id:06d}``),
+    #: stamped by the server at arrival; every campaign journals, so
+    #: it is empty only on a request that never reached a server
     trace_id: str = ""
     state: str = QUEUED
     #: retries consumed (primary dispatch not counted)

@@ -362,7 +362,8 @@ class TestBatchedCampaign:
             n * c for n, c in report.batch_mix.items()
         )
         assert 0.0 < j["occupancy"] <= 1.0
-        assert report.mean_batch_size > 1.0
+        assert report.mean_batch_size > 1.5
+        assert report.all_terminal
         assert "batching <=" in format_serve_summary(report)
         served = [r for r in report.requests if r.devices]
         assert all(
@@ -386,6 +387,21 @@ class TestBatchedCampaign:
             and e["name"].startswith("batch x")
             for e in trace
         )
+
+    def test_batching_beats_one_request_per_device_under_overload(self):
+        """The throughput/deadline frontier, on the overloaded two-model
+        traffic of ``test_batches_never_mix_models``: coalescing
+        completes strictly more requests at no worse SLO attainment."""
+        traffic = make_traffic(
+            rate=700.0, duration=0.4, models=("m", "big"), weights=(1.0, 1.0)
+        )
+        batched, _ = campaign(
+            make_config(batching=BatchingConfig(max_batch=4)), traffic
+        )
+        baseline, _ = campaign(make_config(), traffic)
+        assert batched.all_terminal and baseline.all_terminal
+        assert batched.count(COMPLETED) > baseline.count(COMPLETED)
+        assert batched.slo_attainment >= baseline.slo_attainment
 
     def test_batched_attempts_coalesce_amplification(self):
         """Coalescing means strictly fewer dispatched attempts than

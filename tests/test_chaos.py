@@ -19,7 +19,8 @@ from repro.robust.faults import PIPELINE_FAULT_KINDS
 class TestCampaign:
     @pytest.fixture(scope="class")
     def campaign(self):
-        return run_campaign(seeds=(0,))
+        # the CLI's ``chaos --seeds 2``
+        return run_campaign(seeds=(0, 1))
 
     def test_covers_all_kinds_and_presets(self, campaign):
         cells = {(t.kind, t.preset) for t in campaign.trials}
@@ -63,6 +64,7 @@ class TestDetectOnly:
     def test_faults_surface_as_typed_errors(self):
         report = run_campaign(seeds=(0,), degrade=False)
         assert report.ok_rate == 1.0
+        assert report.passed
         # at least the always-detectable kinds must have raised typed errors
         raised = {t.kind for t in report.trials if t.error_kind}
         assert {"kmap_corrupt", "hash_overflow", "input_corrupt"} <= raised
@@ -151,13 +153,14 @@ class TestStoreChaos:
         ],
     )
     def test_store_trial_survives_detects_bitexact(self, kind):
-        t = run_trial(kind, "torchsparse", seed=0)
-        assert t.ok, t.to_json()
-        assert t.survived and t.visible
-        assert t.detected >= 1
-        # the repaired store never served damaged bytes: outputs match
-        # the clean run bit for bit
-        assert t.bitexact is True
+        for seed in (0, 1):
+            t = run_trial(kind, "torchsparse", seed=seed)
+            assert t.ok, t.to_json()
+            assert t.survived and t.visible
+            assert t.detected >= 1
+            # the repaired store never served damaged bytes: outputs
+            # match the clean run bit for bit
+            assert t.bitexact is True
 
     def test_store_trial_deterministic(self):
         a = run_trial("store_bitrot", "torchsparse", seed=5).to_json()
@@ -178,12 +181,13 @@ class TestDomainChaos:
     @pytest.mark.parametrize("kind", ["domain_outage", "domain_degrade"])
     @pytest.mark.parametrize("degrade", [True, False])
     def test_domain_trial_survives_and_reproduces(self, kind, degrade):
-        t = run_trial(kind, "torchsparse", seed=0, degrade=degrade)
-        assert t.ok, t.to_json()
-        assert t.survived and t.visible
-        # two same-seed campaigns under the same correlated fault
-        # schedule produce identical serve reports
-        assert t.bitexact is True
+        for seed in (0, 1):
+            t = run_trial(kind, "torchsparse", seed=seed, degrade=degrade)
+            assert t.ok, t.to_json()
+            assert t.survived and t.visible
+            # two same-seed campaigns under the same correlated fault
+            # schedule produce identical serve reports
+            assert t.bitexact is True
 
     def test_domain_outage_detected_by_fleet_machinery(self):
         t = run_trial("domain_outage", "torchsparse", seed=0)

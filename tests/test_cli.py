@@ -1,6 +1,7 @@
 """Tests for the repro-bench CLI."""
 
 import json
+import os
 
 import pytest
 
@@ -80,6 +81,11 @@ class TestCommands:
 
 
 BENCH = ["--model", "minkunet_0.5x_kitti", "--scale", "0.12"]
+#: the committed regress baseline for BENCH (see benchmarks/README.md)
+BASELINE = os.path.join(
+    os.path.dirname(__file__), "..", "benchmarks", "baselines",
+    "minkunet_0.5x_kitti.json",
+)
 
 
 class TestObservabilityExports:
@@ -107,6 +113,7 @@ class TestObservabilityExports:
         assert "gemm.utilization" in names
         assert "gemm.padded_flops" in names
         assert "engine.cache.hits" in names
+        assert "mem.coalescing_efficiency" in names
 
         s = json.loads(snap.read_text())
         assert s["schema"] == "repro-bench.snapshot/1"
@@ -135,6 +142,37 @@ class TestObservabilityExports:
         # --update rewrites the baseline and the gate passes again
         assert main(["regress", *BENCH, "--baseline", str(base), "--update"]) == 0
         assert main(["regress", *BENCH, "--baseline", str(base)]) == 0
+
+    def test_regress_rejects_baseline_from_another_configuration(
+        self, tmp_path, capsys
+    ):
+        from repro.obs.regress import CONFIG_KEYS, config_mismatch
+
+        base = tmp_path / "base.json"
+        assert main(["regress", *BENCH, "--baseline", str(base)]) == 0
+        capsys.readouterr()
+        # no tolerance makes another engine's numbers comparable
+        other = [*BENCH, "--engine", "minkowski", "--baseline", str(base)]
+        assert main(["regress", *other, "--tolerance", "100"]) == 1
+        out = capsys.readouterr().out
+        assert "engine: 'torchsparse' -> 'minkowski'" in out
+        assert "drifted" not in out
+        # every run key the snapshot records is checked
+        snap = json.loads(base.read_text())
+        assert config_mismatch(snap, snap) == []
+        for key in CONFIG_KEYS:
+            assert config_mismatch(snap, {**snap, key: "x"}) == [
+                f"{key}: {snap[key]!r} -> 'x'"
+            ]
+        # --update still rewrites the baseline, which then gates
+        assert main(["regress", *other, "--update"]) == 0
+        assert main(["regress", *other]) == 0
+
+    def test_tree_passes_committed_baseline(self, capsys):
+        rc = main(["regress", *BENCH, "--baseline", BASELINE])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "0 drifted" in out
 
     def test_regress_bad_tol_spec(self, tmp_path):
         base = tmp_path / "b.json"
@@ -256,6 +294,16 @@ class TestChaosJsonSchema:
 class TestSteadyStateCli:
     BENCH = ["bench", "--model", "minkunet_0.5x_kitti", "--scale", "0.12",
              "--engine", "baseline", "--steady-state", "--frames", "3"]
+    CENTERPOINT = ["bench", "--model", "centerpoint_3f_waymo",
+                   "--engine", "minkowski", "--scale", "0.2",
+                   "--steady-state", "--frames", "4", "--seed", "0"]
+    CENTERPOINT_SERVE = [
+        "serve", "--models", "centerpoint_3f_waymo",
+        "--devices", "2080ti,2080ti", "--preset", "baseline",
+        "--scale", "0.2", "--rate", "300", "--duration", "1.0",
+        "--seed", "0", "--queue-capacity", "128", "--deadline-factor", "20",
+        "--coherence", "0.9",
+    ]
 
     def test_parser_defaults(self):
         args = build_parser().parse_args(["bench", "--model", "x"])
@@ -292,6 +340,49 @@ class TestSteadyStateCli:
         assert main([*self.BENCH, "--json", str(b)]) == 0
         assert a.read_text() == b.read_text()
 
+    def test_centerpoint_warm_frames_skip_mapping(self, tmp_path, capsys):
+        """The stream the ``bench-steady-state`` CI entry runs: on
+        CenterPoint, mapping is a large enough share of the frame that
+        skipping it cuts warm-frame latency by more than 10%."""
+        snap = tmp_path / "steady.json"
+        assert main([*self.CENTERPOINT, "--json", str(snap)]) == 0
+        d = json.loads(snap.read_text())
+        assert d["schema"] == "repro-bench.steady/1"
+        assert d["mapping_reduction"] >= 0.95
+        assert d["warm_mapping"] < 0.05 * d["cold_mapping"]
+        assert d["latency_reduction"] > 0.10
+        assert d["cache"]["entries"] > 0
+        assert any(
+            k.startswith("mapcache.hits") and v > 0
+            for k, v in d["mapcache_metrics"].items()
+        )
+
+    def test_steady_state_serving_cuts_mean_latency(self, tmp_path, capsys):
+        """The ``serve-cold`` / ``serve-steady-state`` CI pair: the same
+        scene-coherent CenterPoint traffic, with and without warm-frame
+        mapping reuse."""
+        cold, steady = tmp_path / "cold.json", tmp_path / "steady.json"
+        assert main([*self.CENTERPOINT_SERVE, "--json", str(cold)]) == 0
+        assert main(
+            [*self.CENTERPOINT_SERVE, "--steady-state", "--json", str(steady)]
+        ) == 0
+        cold = json.loads(cold.read_text())
+        steady = json.loads(steady.read_text())
+        assert not cold["steady_state"]["enabled"]
+        assert steady["steady_state"]["enabled"]
+        assert steady["steady_state"]["warm_dispatches"] > 0
+
+        def mean_latency(report):
+            lats = [
+                r["latency"] for r in report["requests"]
+                if r["latency"] is not None
+                and r["state"] in ("completed", "deadline_exceeded")
+            ]
+            return sum(lats) / len(lats)
+
+        assert 1.0 - mean_latency(steady) / mean_latency(cold) >= 0.30
+        assert steady["p99"] < cold["p99"]
+
     def test_serve_steady_state_smoke(self, capsys):
         rc = main(
             ["serve", "--scale", "0.1", "--rate", "300", "--duration", "0.3",
@@ -327,8 +418,11 @@ class TestFlightRecorderCli:
         from repro.obs.timeline import load_journal, validate_journal
 
         header, events = load_journal(str(ev))
+        assert header["schema"] == "repro-bench.events/1"
         assert header["seed"] == 3
         assert validate_journal(header, events) == []
+        kinds = {e["kind"] for e in events}
+        assert {"arrival", "dispatch", "attempt_finish", "terminal"} <= kinds
         trace = json.loads(tr.read_text())
         assert trace["displayTimeUnit"] == "ms"
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
@@ -450,24 +544,31 @@ class TestStoreCli:
 
     def test_verify_exits_1_on_corrupt_entry(self, tmp_path, capsys):
         root = self.populate(tmp_path)
+        blobs = sorted(
+            os.path.join(dirpath, fn)
+            for dirpath, _, files in os.walk(root / "objects")
+            for fn in files
+        )
         # rot one blob on disk
-        import os
-        for dirpath, _, files in os.walk(root / "objects"):
-            for fn in files:
-                path = os.path.join(dirpath, fn)
-                with open(path, "r+b") as fh:
-                    raw = bytearray(fh.read())
-                    raw[len(raw) // 2] ^= 0xFF
-                    fh.seek(0)
-                    fh.write(bytes(raw))
-                break
-            else:
-                continue
-            break
+        with open(blobs[0], "r+b") as fh:
+            raw = bytearray(fh.read())
+            raw[len(raw) // 2] ^= 0xFF
+            fh.seek(0)
+            fh.write(bytes(raw))
         assert main(["store", "verify", "--dir", str(root)]) == 1
         assert "corrupt" in capsys.readouterr().out
         # scrub repairs; verify passes again
         assert main(["store", "scrub", "--dir", str(root)]) == 0
+        assert main(["store", "verify", "--dir", str(root)]) == 0
+        # a torn write: another blob keeps only its first half
+        with open(blobs[1], "rb") as fh:
+            data = fh.read()
+        with open(blobs[1], "wb") as fh:
+            fh.write(data[: len(data) // 2])
+        capsys.readouterr()
+        assert main(["store", "verify", "--dir", str(root)]) == 1
+        assert main(["store", "scrub", "--dir", str(root)]) == 0
+        assert "evicted 1" in capsys.readouterr().out
         assert main(["store", "verify", "--dir", str(root)]) == 0
 
     def test_corrupt_manifest_exits_1(self, tmp_path, capsys):

@@ -72,6 +72,13 @@ def campaign(config=None, traffic=None, specs=(), seed=7, recorder=None):
 
 OUTAGE = [FaultSpec(kind="domain_outage", count=1)]
 
+#: eight devices on three racks, rack0 holding half the fleet: the
+#: storm ablation's fleet (benchmarks/test_ablation_storm.py) and the
+#: ``storm`` CI campaign's
+STORM_DEVICES = (RTX_2080TI,) * 4 + (RTX_3090, RTX_3090, RTX_2080TI,
+                                     RTX_2080TI)
+STORM_RACKS = ("rack0",) * 4 + ("rack1", "rack1", "rack2", "rack2")
+
 
 # -- DomainTopology -----------------------------------------------------------
 
@@ -344,7 +351,8 @@ class TestDomainCampaign:
         assert report.all_terminal
         assert validate_journal(rec.header(), rec.events) == []
         kinds = [e["kind"] for e in rec.events]
-        assert "domain_outage" in kinds and "domain_recovered" in kinds
+        assert kinds.count("domain_outage") == 1
+        assert kinds.count("domain_recovered") == 1
         outage = next(e for e in rec.events if e["kind"] == "domain_outage")
         assert outage["attrs"]["domain"] == "rack0"
         assert outage["attrs"]["swept"] >= 1
@@ -356,6 +364,7 @@ class TestDomainCampaign:
         summary = report.domain_summary
         assert set(summary) == {"rack0", "rack1"}
         assert summary["rack0"]["outages"] == 1
+        assert summary["rack0"]["mass_quarantined"] == 2  # the whole rack
         assert summary["rack0"]["availability"] < 1.0
         assert summary["rack1"]["availability"] == 1.0
         # the fleet as a whole rode through it
@@ -495,6 +504,46 @@ class TestStormDefense:
         assert blob["amplification"] == report.amplification
         assert blob["retry_denied"] == report.retry_denied
 
+    def test_defended_fleet_dominates_undefended_under_rack_outage(self):
+        """A patient device breaker (threshold 10) leaves the flat
+        per-device machinery slow to react to a rack0 outage; the
+        defended fleet completes more with less amplification, and
+        only the undefended one probes the outage's victims to death."""
+
+        def run(defended):
+            config = make_config(
+                devices=STORM_DEVICES,
+                domains=STORM_RACKS,
+                retry=RetryPolicy(max_retries=2),
+                breaker_threshold=10,
+                domain_defense=defended,
+                storm=StormConfig() if defended else None,
+            )
+            report, _ = campaign(
+                config, make_traffic(rate=800.0, duration=1.2),
+                specs=[FaultSpec(kind="domain_outage", count=1,
+                                 severity=0.12)],
+            )
+            return report
+
+        defended, undefended = run(True), run(False)
+        assert defended.all_terminal and undefended.all_terminal
+        assert defended.count("completed") > undefended.count("completed")
+        assert defended.amplification < undefended.amplification
+        rack0 = defended.domain_summary["rack0"]
+        assert rack0["outages"] == 1
+        assert rack0["mass_quarantined"] == 4
+        assert rack0["availability"] < 1.0
+
+        def dead(report):
+            return sum(d["state"] == DEAD for d in report.fleet.values())
+
+        assert dead(defended) == 0
+        assert dead(undefended) > 0
+        assert defended.storm and defended.hedges_suppressed > 0
+        assert not undefended.storm
+        assert undefended.domain_summary == {}
+
     def test_defense_off_by_default(self):
         report, _ = campaign(specs=OUTAGE)
         assert not report.storm
@@ -612,6 +661,11 @@ class TestDomainsTrace:
         path = tmp_path / "trace.json"
         write_serve_trace(rec.header(), rec.events, str(path))
         events = json.loads(path.read_text())["traceEvents"]
+        threads = {
+            e["args"]["name"] for e in events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert "domains" in threads
         domain_instants = [
             e for e in events
             if e.get("tid") == DOMAINS_TID and e["ph"] == "i"

@@ -516,6 +516,21 @@ class TestCampaign:
         assert blob["recall_by_kind"] == {"bitflip_feature": 1.0}
         assert set(blob["false_positive_rate"]) == {"fp32", "fp16"}
 
+    def test_default_campaign_catches_and_survives_every_fault(self):
+        # the CLI's ``integrity --seeds 2 --seed 0``: every SDC kind
+        # crossed with every dtype preset, two seeds
+        report = run_integrity_campaign(seeds=(0, 1))
+        blob = report.to_json()
+        assert blob["schema"] == INTEGRITY_SCHEMA
+        assert blob["passed"]
+        assert report.recall >= 0.95
+        assert report.fp32_false_positives == 0
+        for probe in report.clean:
+            assert probe.bitexact and probe.reference_ok, probe.to_json()
+        for t in report.trials:
+            assert t.shots == 0 or t.caught, t.to_json()
+            assert t.survived, t.to_json()
+
     def test_campaign_is_deterministic(self):
         a = run_integrity_campaign(
             kinds=("bitflip_weight",), dtypes=("int8",), seeds=(3,)

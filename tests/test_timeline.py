@@ -451,7 +451,7 @@ class TestServeTrace:
                 "RTX 3090"} <= names
         attempts = attempt_events(trace)
         dispatches = [e for e in rec.events if e["kind"] == "dispatch"]
-        assert len(attempts) == len(dispatches)
+        assert attempts and len(attempts) == len(dispatches)
         # every retry/hedge dispatch produced one s/f flow pair
         flows = flow_events(trace)
         linked = [e for e in dispatches
