@@ -287,7 +287,7 @@ def execute_gather_matmul_scatter(
     center = kmap.center_index
     if skip_center and center is not None and len(kmap.in_indices[center]):
         ci, co = kmap.in_indices[center], kmap.out_indices[center]
-        partial = (x[ci] @ w[center]).astype(np.float32)
+        partial = (x[ci] @ w[center]).astype(np.float32, copy=False)
         if integrity is not None:
             src = integrity.source_checksum(x, ci)
             integrity.check_matmul(partial, src, w[center], len(ci), "matmul.center")
@@ -329,7 +329,7 @@ def execute_gather_matmul_scatter(
                         batch[bi, : sizes[bi]], site=f"gather.o{n}"
                     )
                 stacked = np.stack([w[n] for n in group.members])
-                partial = np.matmul(batch, stacked).astype(np.float32)
+                partial = np.matmul(batch, stacked).astype(np.float32, copy=False)
                 for bi, n in enumerate(group.members):
                     pm = partial[bi, : sizes[bi]]
                     if integrity is not None:
@@ -354,7 +354,7 @@ def execute_gather_matmul_scatter(
                     if integrity is not None:
                         src = integrity.source_checksum(x, idx)
                         integrity.check_buffer(gathered, src, f"gather.o{n}")
-                    partial = (gathered @ w[n]).astype(np.float32)
+                    partial = (gathered @ w[n]).astype(np.float32, copy=False)
                     if integrity is not None:
                         integrity.check_matmul(
                             partial, src, w[n], len(idx), f"matmul.o{n}"
@@ -461,7 +461,7 @@ def execute_fetch_on_demand(
             idx = kmap.in_indices[n]
             if not len(idx):
                 continue
-            partial = (x[idx] @ w[n]).astype(np.float32)
+            partial = (x[idx] @ w[n]).astype(np.float32, copy=False)
             if integrity is not None:
                 src = integrity.source_checksum(x, idx)
                 integrity.check_matmul(

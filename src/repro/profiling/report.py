@@ -31,9 +31,18 @@ def percentile(values: Sequence[float], q: float) -> float:
     same p50/p99.  Nearest-rank (no interpolation) keeps results exactly
     reproducible across platforms; an empty sample yields 0.0.
     """
+    return sorted_percentile(sorted(values), q)
+
+
+def sorted_percentile(vals: Sequence[float], q: float) -> float:
+    """:func:`percentile` of ``vals`` already sorted ascending.
+
+    The nearest-rank rule itself, without the sort: a caller that keeps
+    its sample sorted as it grows (the serve loop's hedge trigger) reads
+    a quantile in O(1) instead of re-sorting on every read.
+    """
     if not 0.0 <= q <= 100.0:
         raise ValueError(f"q must be in [0, 100], got {q}")
-    vals = sorted(values)
     if not vals:
         return 0.0
     rank = max(1, math.ceil(q / 100.0 * len(vals)))

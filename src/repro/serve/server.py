@@ -24,6 +24,7 @@ seed reproduces every per-request outcome bit for bit.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from contextlib import nullcontext
 from dataclasses import dataclass, field
@@ -35,6 +36,7 @@ from repro.gpu.device import GPUSpec
 from repro.obs.metrics import get_registry
 from repro.obs.timeline import TimelineRecorder
 from repro.profiling.parallel import device_labels, least_loaded
+from repro.profiling.report import sorted_percentile
 from repro.robust.brownout import BrownoutConfig, BrownoutController
 from repro.robust.domains import DomainTopology, RetryBudget, StormConfig
 from repro.robust.errors import ConfigError
@@ -347,6 +349,8 @@ class Server:
         #: request id -> id of its most recently failed attempt (the
         #: causal parent a later retry dispatch links back to)
         self._last_failed: dict = {}
+        #: completed attempts' service times, kept sorted ascending so
+        #: the hedge trigger reads its quantile without re-sorting
         self._service_samples: list = []
         self._requests: list = []
         self._probe_model = ""
@@ -476,12 +480,14 @@ class Server:
         )
         return self.config.deadline_factor * worst
 
-    def _hedge_delay(self, model: str, spec: GPUSpec) -> float:
-        from repro.profiling.report import percentile
+    def _record_service(self, seconds: float) -> None:
+        """Add one service time: a binary search plus a list insert."""
+        bisect.insort(self._service_samples, seconds)
 
+    def _hedge_delay(self, model: str, spec: GPUSpec) -> float:
         hedge = self.config.hedge
         if len(self._service_samples) >= hedge.min_samples:
-            return percentile(self._service_samples, hedge.quantile)
+            return sorted_percentile(self._service_samples, hedge.quantile)
         return hedge.bootstrap_factor * self.oracle.base_latency(model, spec)
 
     # -- campaign entry ------------------------------------------------------
@@ -1090,7 +1096,7 @@ class Server:
             get_registry().gauge("serve.retry_budget_tokens").set(
                 self.retry_budget.tokens
             )
-        self._service_samples.append(self.now - a.start)
+        self._record_service(self.now - a.start)
         for m in members:
             self._emit(
                 "attempt_finish", m,

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.device import GTX_1080TI, RTX_2080TI, RTX_3090
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -454,6 +456,92 @@ class TestServeCampaign:
                          "serve.completed", "serve.latency_ms.count",
                          "serve.wait_ms.count", "serve.queue_depth.count"):
             assert any(k.startswith(required) for k in names), required
+
+
+#: service times with deliberate ties: a small pool of repeated values
+#: mixed with arbitrary ones
+service_times = st.lists(
+    st.sampled_from([0.001, 0.004, 0.004, 0.012])
+    | st.floats(min_value=0.0, max_value=0.1, allow_nan=False),
+    min_size=1,
+    max_size=60,
+)
+hedge_quantiles = st.sampled_from([100.0, 1e-9]) | st.floats(
+    min_value=0.0, max_value=100.0, exclude_min=True
+)
+
+
+class TestHedgeTrigger:
+    """The hedge delay reads a quantile of an incrementally sorted
+    service-time sample; it must agree with the shared nearest-rank
+    :func:`~repro.profiling.report.percentile` and never re-sort the
+    sample per dispatch."""
+
+    @given(service_times, hedge_quantiles, st.integers(1, 20))
+    @settings(max_examples=80, deadline=None)
+    def test_delay_equals_percentile_after_every_insertion(
+        self, times, q, min_samples
+    ):
+        from repro.core.engine import BaseEngine
+        from repro.profiling.report import percentile
+        from repro.serve.cluster import LatencyOracle
+        from repro.serve.server import Server
+
+        hedge = HedgePolicy(quantile=q, min_samples=min_samples)
+        oracle = LatencyOracle(BaseEngine(), overrides=LAT)
+        server = Server(make_config(hedge=hedge), oracle)
+        spec = server.workers[0].spec
+        bootstrap = hedge.bootstrap_factor * oracle.base_latency("m", spec)
+        for i, t in enumerate(times):
+            server._record_service(t)
+            delay = server._hedge_delay("m", spec)
+            if i + 1 < min_samples:
+                assert delay == bootstrap
+            else:
+                assert delay == percentile(times[: i + 1], q)
+
+    def test_hedged_campaign_never_sorts_per_dispatch(self, monkeypatch):
+        import sys
+
+        from repro.profiling import report as report_mod
+        from repro.serve.server import Server
+
+        calls = {"inside": 0}
+        depth = {"run": 0}
+        original = report_mod.percentile
+
+        def counting(values, q):
+            if depth["run"]:
+                calls["inside"] += 1
+            return original(values, q)
+
+        # every binding of the sorting entry point, wherever imported
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("repro") and (
+                getattr(mod, "percentile", None) is original
+            ):
+                monkeypatch.setattr(mod, "percentile", counting)
+        run = Server.run
+
+        def tracked(self, requests):
+            depth["run"] += 1
+            try:
+                return run(self, requests)
+            finally:
+                depth["run"] -= 1
+
+        monkeypatch.setattr(Server, "run", tracked)
+        specs = [FaultSpec(kind="device_stall", site="RTX 3090", count=-1,
+                           severity=0.2)]
+        report, _, _ = campaign(
+            traffic=make_traffic(rate=600.0, duration=1.7), specs=specs
+        )
+        assert report.total >= 900
+        assert report.hedges_launched > 0
+        # each dispatch arms a hedge timer, so a per-dispatch sort would
+        # scale with report.attempts; the trigger must not sort at all
+        assert report.attempts >= 900
+        assert calls["inside"] <= 4
 
 
 class TestBackoffJitter:
