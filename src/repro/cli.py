@@ -934,7 +934,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--samples", type=int, default=1)
         p.add_argument("--seed", type=int, default=0)
 
-    p_bench = sub.add_parser("bench", help="run one model under one engine")
+    p_bench = sub.add_parser(
+        "bench",
+        help="price one model under one engine (the printed host wall "
+        "covers pricing only; perfbench records the numerics' host time)",
+    )
     common(p_bench)
     p_bench.add_argument(
         "--engine", choices=list(ENGINE_FACTORIES), default="torchsparse"

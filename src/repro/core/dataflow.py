@@ -233,6 +233,7 @@ def execute_gather_matmul_scatter(
     skip_center: bool = True,
     exact_bmm: bool = False,
     integrity=None,
+    numerics: bool = True,
 ) -> np.ndarray:
     """Run one sparse convolution via Algorithm 2 with a grouping plan.
 
@@ -257,6 +258,9 @@ def execute_gather_matmul_scatter(
             each stage with ABFT checksums (observation only — never
             changes numerics; raises
             :class:`~repro.robust.errors.IntegrityError` on mismatch).
+        numerics: ``False`` prices the layer only: casts, gathers and
+            matmuls are skipped and the output is zeros, while every
+            record and metric is made exactly as in a computed run.
 
     Returns:
         ``(N_out, C_out)`` output features (float32).
@@ -272,29 +276,33 @@ def execute_gather_matmul_scatter(
         )
     plan.validate(kmap.volume, kmap.center_index if skip_center else None)
 
-    x = _cast(feats, cfg.dtype)
-    w = _cast(weights, cfg.dtype)
-    if integrity is not None:
-        # golden checksums right after the cast: the model of load-time
-        # ABFT — anything that corrupts the buffers later is visible
-        integrity.begin(x, w)
-    # fault-injection site: weight buffer flips *after* the golden
-    # checksum (GEMM checksums agree with it; only the sentinel sees it)
-    maybe_bitflip_weights(w, site=f"weights.v{kmap.volume}")
     acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
+    if numerics:
+        x = _cast(feats, cfg.dtype)
+        w = _cast(weights, cfg.dtype)
+        if integrity is not None:
+            # golden checksums right after the cast: the model of load-time
+            # ABFT — anything that corrupts the buffers later is visible
+            integrity.begin(x, w)
+        # fault-injection site: weight buffer flips *after* the golden
+        # checksum (GEMM checksums agree with it; only the sentinel sees it)
+        maybe_bitflip_weights(w, site=f"weights.v{kmap.volume}")
 
     # -- center offset: direct mm, no data movement -------------------------
     center = kmap.center_index
     if skip_center and center is not None and len(kmap.in_indices[center]):
         ci, co = kmap.in_indices[center], kmap.out_indices[center]
-        partial = (x[ci] @ w[center]).astype(np.float32, copy=False)
-        if integrity is not None:
-            src = integrity.source_checksum(x, ci)
-            integrity.check_matmul(partial, src, w[center], len(ci), "matmul.center")
-            integrity.absorb(partial)
-        # within one offset each output index appears at most once
-        # (p = s*q + delta is injective in q), so plain indexed add is safe
-        acc[co] += partial
+        if numerics:
+            partial = (x[ci] @ w[center]).astype(np.float32, copy=False)
+            if integrity is not None:
+                src = integrity.source_checksum(x, ci)
+                integrity.check_matmul(
+                    partial, src, w[center], len(ci), "matmul.center"
+                )
+                integrity.absorb(partial)
+            # within one offset each output index appears at most once
+            # (p = s*q + delta is injective in q), so plain indexed add is safe
+            acc[co] += partial
         cost = mm_cost(len(ci), c_in, c_out, cfg.dtype, device)
         record_gemm_cost(cost, "mm")
         with profile.span("matmul"):
@@ -315,7 +323,8 @@ def execute_gather_matmul_scatter(
     with profile.span("matmul"):
         for gi, group in enumerate(plan.groups):
             sizes = [len(kmap.in_indices[n]) for n in group.members]
-            if group.use_bmm and exact_bmm:
+            # a pricing run stages and multiplies nothing
+            if numerics and group.use_bmm and exact_bmm:
                 # materialize the padded batch exactly as the GPU kernel would
                 m_pad = max(sizes)
                 batch = np.zeros((len(group.members), m_pad, c_in), dtype=x.dtype)
@@ -343,7 +352,7 @@ def execute_gather_matmul_scatter(
                         )
                         integrity.absorb(pm)
                     acc[kmap.out_indices[n]] += pm
-            else:
+            elif numerics:
                 # zero-padding cannot change the products, so the per-member
                 # path is numerically identical to bmm and much faster here
                 for n in group.members:
@@ -376,11 +385,12 @@ def execute_gather_matmul_scatter(
                 launches=cost.launches,
             )
 
-    # fault-injection site: reduced-precision accumulator overflow
-    # (no-op at FP32 — the ladder's fp32 rung is a genuine fix)
-    maybe_inject_matmul_nan(acc, cfg.dtype)
-    # fault-injection site: flips in the scatter accumulator
-    maybe_bitflip_features(acc, site="scatter.out")
+    if numerics:
+        # fault-injection site: reduced-precision accumulator overflow
+        # (no-op at FP32 — the ladder's fp32 rung is a genuine fix)
+        maybe_inject_matmul_nan(acc, cfg.dtype)
+        # fault-injection site: flips in the scatter accumulator
+        maybe_bitflip_features(acc, site="scatter.out")
 
     with profile.span("scatter"):
         profile.add(
@@ -436,6 +446,7 @@ def execute_fetch_on_demand(
     profile: Profile,
     dtype: DType = DType.FP32,
     integrity=None,
+    numerics: bool = True,
 ) -> np.ndarray:
     """MinkowskiEngine's fetch-on-demand dataflow (Lin et al., 2021).
 
@@ -446,29 +457,34 @@ def execute_fetch_on_demand(
     work — so it wins on *small* workloads (where the tiled GEMM is
     occupancy-bound anyway) and loses on large ones, exactly the
     Section 5.2 observation about 1-frame nuScenes models.
+
+    ``numerics=False`` prices only, as in
+    :func:`execute_gather_matmul_scatter`.
     """
     c_in, c_out = weights.shape[1], weights.shape[2]
-    x = _cast(feats, dtype)
-    w = _cast(weights, dtype)
-    if integrity is not None:
-        integrity.begin(x, w)
-    # fault-injection site: post-checksum weight-buffer flips
-    maybe_bitflip_weights(w, site="fetch_on_demand.weights")
     acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
+    if numerics:
+        x = _cast(feats, dtype)
+        w = _cast(weights, dtype)
+        if integrity is not None:
+            integrity.begin(x, w)
+        # fault-injection site: post-checksum weight-buffer flips
+        maybe_bitflip_weights(w, site="fetch_on_demand.weights")
     reg = get_registry()
     with profile.span("matmul", dataflow="fetch_on_demand"):
         for n in range(kmap.volume):
             idx = kmap.in_indices[n]
             if not len(idx):
                 continue
-            partial = (x[idx] @ w[n]).astype(np.float32, copy=False)
-            if integrity is not None:
-                src = integrity.source_checksum(x, idx)
-                integrity.check_matmul(
-                    partial, src, w[n], len(idx), f"fetch_on_demand.o{n}"
-                )
-                integrity.absorb(partial)
-            acc[kmap.out_indices[n]] += partial
+            if numerics:
+                partial = (x[idx] @ w[n]).astype(np.float32, copy=False)
+                if integrity is not None:
+                    src = integrity.source_checksum(x, idx)
+                    integrity.check_matmul(
+                        partial, src, w[n], len(idx), f"fetch_on_demand.o{n}"
+                    )
+                    integrity.absorb(partial)
+                acc[kmap.out_indices[n]] += partial
             t, nbytes, flops = fetch_on_demand_offset_cost(
                 len(idx), c_in, c_out, dtype, device
             )
@@ -481,8 +497,9 @@ def execute_fetch_on_demand(
                 bytes_moved=nbytes,
                 flops=flops,
             )
-    # fault-injection site: flips in the atomic accumulator
-    maybe_bitflip_features(acc, site="fetch_on_demand.out")
+    if numerics:
+        # fault-injection site: flips in the atomic accumulator
+        maybe_bitflip_features(acc, site="fetch_on_demand.out")
     if integrity is not None:
         integrity.check_output(acc, "fetch_on_demand.out")
         integrity.verify_weights(w, "fetch_on_demand.weights")

@@ -178,6 +178,15 @@ class ExecutionContext:
     maps across contexts (steady-state serving of temporally coherent
     streams); without one, every context builds its maps from scratch
     (the seed-exact cold path).
+
+    ``numerics=False`` makes a *pricing* context: the modeled clock
+    depends only on coordinates, kernel maps and shapes, so the costly
+    kernels (gather-matmul-scatter, fetch-on-demand, dense conv2d) skip
+    their casts, gathers and matmuls and return zeros of the right
+    shape, while every record, span and metric comes out exactly as in
+    a computed forward.  A pricing context refuses what it cannot
+    honour: an armed fault injector (its sites mutate values) and ABFT
+    integrity checking (verdicts and checksum cost need values).
     """
 
     def __init__(
@@ -186,8 +195,23 @@ class ExecutionContext:
         device: GPUSpec = RTX_2080TI,
         profile: Profile | None = None,
         mapcache: MappingCache | None = None,
+        numerics: bool = True,
     ):
         self.engine = engine or TorchSparseEngine()
+        if not numerics:
+            if get_injector() is not None:
+                raise RuntimeError(
+                    "a pricing-only forward cannot run under an armed fault "
+                    "injector: fault sites mutate feature values"
+                )
+            robust = self.engine.config.robustness
+            if robust is not None and robust.integrity is not None:
+                raise ValueError(
+                    "a pricing-only forward cannot verify ABFT integrity: "
+                    "checksums and their cost need feature values"
+                )
+        #: False = price the forward from shapes alone (see above)
+        self.numerics = numerics
         self.device = device
         self.profile = profile if profile is not None else Profile()
         if self.profile.tracer is None:
@@ -887,6 +911,7 @@ class BaseEngine:
                 ctx.profile,
                 dtype=cfg.dtype,
                 integrity=integrity,
+                numerics=ctx.numerics,
             )
         ctx.metrics.counter("engine.dispatch", dataflow="gather_matmul_scatter").inc()
 
@@ -922,6 +947,7 @@ class BaseEngine:
             ctx.profile,
             skip_center=skip_center,
             integrity=integrity,
+            numerics=ctx.numerics,
         )
 
     def _make_integrity(

@@ -52,18 +52,24 @@ def conv2d(
     Args:
         weight: ``(k, k, C_in, C_out)``.
         pad: defaults to "same" padding for stride 1 (``k // 2``).
+
+    A pricing context (``ctx.numerics`` off) skips im2col and the GEMM
+    and returns zeros of the output shape.
     """
     k, _, c_in, c_out = weight.shape
     if x.ndim != 3 or x.shape[2] != c_in:
         raise ValueError(f"input {x.shape} does not match weight {weight.shape}")
     if pad is None:
         pad = k // 2
-    cols = im2col(x, k, stride=stride, pad=pad)
-    out = cols @ weight.reshape(k * k * c_in, c_out)
     h_out = (x.shape[0] + 2 * pad - k) // stride + 1
     w_out = (x.shape[1] + 2 * pad - k) // stride + 1
+    if ctx.numerics:
+        cols = im2col(x, k, stride=stride, pad=pad)
+        out = cols @ weight.reshape(k * k * c_in, c_out)
+    else:
+        out = np.zeros((h_out * w_out, c_out), dtype=np.float32)
     cost = mm_cost(
-        cols.shape[0], k * k * c_in, c_out, ctx.engine.config.dtype, ctx.device
+        h_out * w_out, k * k * c_in, c_out, ctx.engine.config.dtype, ctx.device
     )
     ctx.profile.log(
         name, "other", cost.time, bytes_moved=cost.bytes_moved, flops=cost.flops

@@ -86,7 +86,7 @@ class ShardResult:
 
 
 def _latency(model: Module, x: SparseTensor, engine: BaseEngine, device: GPUSpec):
-    ctx = ExecutionContext(engine=engine, device=device)
+    ctx = ExecutionContext(engine=engine, device=device, numerics=False)
     model(x, ctx)
     return ctx.profile.total_time
 

@@ -5,6 +5,11 @@ engine, device) combination; ``run_steady_state`` streams temporally
 coherent frames through a persistent mapping cache (cold frame builds,
 warm frames reuse); ``collect_workloads``/``tune_model`` run
 Algorithm 5's offline strategy search for a model on a dataset sample.
+
+Every runner here reads only the modeled clock (profile, layer
+workloads, metrics), so each forward runs in a pricing-only
+:class:`~repro.core.engine.ExecutionContext`: mapping and cost models
+run, the feature numerics do not.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ def run_model(
     merged = Profile()
     total = 0.0
     for x in inputs:
-        ctx = ExecutionContext(engine=engine, device=device)
+        ctx = ExecutionContext(engine=engine, device=device, numerics=False)
         model(x, ctx)
         total += ctx.profile.total_time
         merged.extend(ctx.profile.records)
@@ -179,7 +184,9 @@ def run_steady_state(
             rng = np.random.default_rng(seed + f)
             feats = rng.standard_normal(x.feats.shape).astype(x.feats.dtype)
             frame = x.replace_feats(feats)
-        ctx = ExecutionContext(engine=engine, device=device, mapcache=cache)
+        ctx = ExecutionContext(
+            engine=engine, device=device, mapcache=cache, numerics=False
+        )
         model(frame, ctx)
         latencies.append(ctx.profile.total_time)
         mapping.append(ctx.profile.stage_times().get("mapping", 0.0))
@@ -208,7 +215,7 @@ def collect_workloads(
     engine = TorchSparseEngine()
     per_layer: dict[str, dict] = {}
     for x in inputs:
-        ctx = ExecutionContext(engine=engine, device=device)
+        ctx = ExecutionContext(engine=engine, device=device, numerics=False)
         model(x, ctx)
         for name, k, s, c_in, c_out, sizes in ctx.layer_workloads:
             entry = per_layer.setdefault(

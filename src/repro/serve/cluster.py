@@ -2,11 +2,12 @@
 
 A :class:`DeviceWorker` is one fleet slot: a :class:`GPUSpec` plus the
 minimal serving state (busy flag, accumulated busy time, completion
-count).  Service times come from the :class:`LatencyOracle`, which runs
-each (zoo model, device spec) pair through the engine **once** and
-memoizes the modeled latency — the simulation then reuses that base
-latency for every request, perturbed per attempt by stall faults and
-log-normal noise.
+count).  Service times come from the :class:`LatencyOracle`, which
+prices each (zoo model, device spec, batch size, temperature, QoS rung)
+**once** through a pricing-only execution context — mapping and cost
+models only, no feature numerics — and memoizes the modeled latency.
+The simulation then reuses that latency for every request, perturbed
+per attempt by stall faults and log-normal noise.
 """
 
 from __future__ import annotations
@@ -124,6 +125,41 @@ class LatencyOracle:
             )
         return x
 
+    def _price(
+        self,
+        model_key: str,
+        spec: GPUSpec,
+        n: int,
+        warm: bool,
+        quality: QualityConfig,
+    ) -> float:
+        """Modeled latency of one forward over ``n`` collated frames.
+
+        Runs through pricing-only contexts (``numerics=False``): every
+        modeled record comes out as in a computed forward, without the
+        casts, gathers and matmuls.  ``warm`` first prices a cold frame
+        into the device's persistent mapping cache, then prices a second
+        frame of the same scene through it.
+        """
+        if model_key not in self._models:
+            entry = self._entry(model_key)
+            self._models[model_key] = entry.make_model()
+            self._inputs[model_key] = entry.make_dataset().sample_tensor(
+                seed=self.seed, scale=self.scale
+            )
+        model = self._models[model_key]
+        x = self._input_for(model_key, quality)
+        if n > 1:
+            x = batch_collate([x] * n)
+        engine = self._engine_for(quality)
+        cache = self.mapcache(spec) if warm else None
+        for _ in range(2 if warm else 1):
+            ctx = ExecutionContext(
+                engine=engine, device=spec, mapcache=cache, numerics=False
+            )
+            model(x, ctx)
+        return ctx.profile.total_time
+
     def base_latency(
         self,
         model_key: str,
@@ -152,30 +188,9 @@ class LatencyOracle:
             return float(self.overrides[model_key]) / quality.speedup
         memo_key = (model_key, spec, bool(warm), quality)
         if memo_key not in self._latency:
-            entry = self._entry(model_key)
-            if model_key not in self._models:
-                self._models[model_key] = entry.make_model()
-                self._inputs[model_key] = entry.make_dataset().sample_tensor(
-                    seed=self.seed, scale=self.scale
-                )
-            model = self._models[model_key]
-            x = self._input_for(model_key, quality)
-            engine = self._engine_for(quality)
-            if warm:
-                # populate the device cache (the cold frame), then price
-                # a second frame of the same scene through it
-                cache = self.mapcache(spec)
-                warmup = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-                model(x, warmup)
-                ctx = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-            else:
-                ctx = ExecutionContext(engine=engine, device=spec)
-            model(x, ctx)
-            self._latency[memo_key] = ctx.profile.total_time
+            self._latency[memo_key] = self._price(
+                model_key, spec, 1, warm, quality
+            )
         return self._latency[memo_key]
 
     def batch_latency(
@@ -190,13 +205,13 @@ class LatencyOracle:
 
         The engine path collates ``n`` copies of the model's fixed
         sample input (:func:`~repro.datasets.collate.batch_collate`)
-        and runs the batch through the engine once per
-        ``(model, spec, n, warm, quality)``, memoized — so the
-        sublinear batch cost (kernel-launch and bmm-padding
-        amortization under adaptive grouping) comes out of the same
-        cost model as everything else.  ``n=1`` delegates to
-        :meth:`base_latency`, keeping single dispatches priced
-        identically whether or not batching is enabled.
+        and prices the batch once per ``(model, spec, n, warm,
+        quality)``, memoized — so the sublinear batch cost
+        (kernel-launch and bmm-padding amortization under adaptive
+        grouping) comes out of the same cost model as everything else.
+        ``n=1`` delegates to :meth:`base_latency`, keeping single
+        dispatches priced identically whether or not batching is
+        enabled.
 
         On the overrides path (no engine) a batch of ``n`` is priced
         ``override * (OVERRIDE_BATCH_ALPHA + (1 - alpha) * n)``:
@@ -215,26 +230,12 @@ class LatencyOracle:
             )
         memo_key = (model_key, spec, int(n), bool(warm), quality)
         if memo_key not in self._batch_latency:
-            # ensure the model and its fixed sample input exist (and
-            # price the n=1 anchor while we are at it)
+            # the n=1 anchor is priced first: the device cache's
+            # contents, and so warm prices, depend on pricing order
             self.base_latency(model_key, spec, warm=warm, quality=quality)
-            model = self._models[model_key]
-            x = self._input_for(model_key, quality)
-            xb = batch_collate([x] * n)
-            engine = self._engine_for(quality)
-            if warm:
-                cache = self.mapcache(spec)
-                warmup = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-                model(xb, warmup)
-                ctx = ExecutionContext(
-                    engine=engine, device=spec, mapcache=cache
-                )
-            else:
-                ctx = ExecutionContext(engine=engine, device=spec)
-            model(xb, ctx)
-            self._batch_latency[memo_key] = ctx.profile.total_time
+            self._batch_latency[memo_key] = self._price(
+                model_key, spec, n, warm, quality
+            )
         return self._batch_latency[memo_key]
 
     def mean_latency(self, model_keys, specs) -> float:
