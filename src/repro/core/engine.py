@@ -39,6 +39,7 @@ from repro.core.tuner import StrategyBook
 from repro.gpu.device import GPUSpec, RTX_2080TI
 from repro.gpu.memory import DType
 from repro.gpu.timeline import Profile
+from repro.hashmap.grid_table import GridTable
 from repro.mapping.cache import (
     MappingCache,
     coords_fingerprint,
@@ -83,6 +84,10 @@ GRID_SLOT_BYTES = 8
 #: past this memory budget — mirroring the range-cropped spatial shapes
 #: real grid-based engines require.
 MAX_GRID_BYTES = 2 * 1024 * 1024 * 1024
+
+#: Spatial slack of every coordinate index's grid box, so neighbor
+#: probes at kernel offsets stay inside it.
+GRID_MARGIN = 2
 
 
 @dataclass(frozen=True)
@@ -298,12 +303,11 @@ class BaseEngine:
             return backend
         if backend not in ("grid", "auto"):
             raise ValueError(f"unknown map_backend {backend!r}")
-        c = coords.astype(np.int64)
-        if c.shape[0] == 0:
+        if coords.shape[0] == 0:
             return "hash"
-        extent = c.max(axis=0) - c.min(axis=0) + 1
-        extent[1:] += 2  # probe margin
-        volume = int(np.prod(extent))
+        # the same box _get_index builds, so "grid" never blows the budget
+        _, shape = GridTable.box(coords, GRID_MARGIN)
+        volume = int(np.prod(shape))
         # Even a forced "grid" falls back to hash past the memory budget —
         # the paper notes SpConv itself needed such changes "to avoid OOM
         # in large-scale scenes" (Section 5.1).
@@ -328,7 +332,7 @@ class BaseEngine:
         stats = index.stats
         slot = (
             GRID_SLOT_BYTES
-            if index.table.__class__.__name__ == "GridTable"
+            if isinstance(index.table, GridTable)
             else HASH_SLOT_BYTES
         )
         accesses = stats.build_accesses + stats.query_accesses
@@ -369,7 +373,10 @@ class BaseEngine:
             # fault-injection site: simulated grid allocation failure
             maybe_grid_oom(f"table.build.s{stride}.grid")
         index = CoordIndex.build(
-            coords, backend=backend, margin=2, max_grid_bytes=MAX_GRID_BYTES
+            coords,
+            backend=backend,
+            margin=GRID_MARGIN,
+            max_grid_bytes=MAX_GRID_BYTES,
         )
         ctx.index_at_stride[stride] = index
         self._price_table(index, ctx, f"table.build.s{stride}.{backend}", cfg)

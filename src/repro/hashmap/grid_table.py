@@ -6,6 +6,14 @@ query touches exactly one slot, so DRAM traffic per entry is minimal —
 the paper measures it 2.7x faster than a general hashmap — at the price
 of memory proportional to the box volume, which is why TorchSparse
 *chooses* between grid and hashmap per layer.
+
+The dense box is the *modeled* cost: ``stats.table_bytes`` is
+``volume x 8`` and every build or query is one access, which is what
+the engine prices and budgets.  The host does not need the dense array
+to give the same answers, so it holds only the occupied slots: the
+sorted raveled slot indices and their values (Minuet's sorted-coordinate
+lookup), O(N) in memory however large the box, probed with a binary
+search.
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ class GridTable:
 
     Args:
         origin: per-column lower bound ``(batch, x, y, z)``.
-        shape: per-column extent; the table holds ``prod(shape)`` slots.
+        shape: per-column extent; the table models ``prod(shape)`` slots.
     """
 
     origin: np.ndarray
@@ -42,16 +50,25 @@ class GridTable:
             raise ValueError("origin and shape must be length-4")
         if (self.shape <= 0).any():
             raise ValueError("shape entries must be positive")
-        volume = int(np.prod(self.shape))
-        # Stored as value+1 with 0 = empty so the backing array can be
-        # np.zeros: fresh zero pages are mapped lazily by the OS, which
-        # keeps huge mostly-empty grids cheap in host memory (the GPU
-        # being modeled pays for the full allocation — that is captured
-        # by table_bytes, not by this process's RSS).
-        self._values = np.zeros(volume, dtype=np.int64)
-        self._size = 0
-        self.stats.table_bytes = volume * 8
+        self._volume = int(np.prod(self.shape))
+        # host backing: occupied slots only, keys strictly increasing
+        self._keys = np.empty(0, dtype=np.int64)
+        self._vals = np.empty(0, dtype=np.int64)
+        self.stats.table_bytes = self._volume * 8
         self.stats.max_probe_len = 1
+
+    @staticmethod
+    def box(coords: np.ndarray, margin: int = 0) -> tuple[np.ndarray, np.ndarray]:
+        """``(origin, shape)`` of the box covering ``coords``, widened by
+        ``margin`` voxels on both sides of every spatial axis."""
+        coords = np.asarray(coords, dtype=np.int64)
+        if coords.shape[0] == 0:
+            raise ValueError("cannot size a grid table from zero coordinates")
+        lo = coords.min(axis=0)
+        hi = coords.max(axis=0)
+        lo[1:] -= margin
+        hi[1:] += margin
+        return lo, hi - lo + 1
 
     @classmethod
     def from_coords(
@@ -67,21 +84,14 @@ class GridTable:
         offsets up to ``margin`` voxels stay inside the table.
 
         Args:
-            max_bytes: memory budget for the dense slot array; exceeding
+            max_bytes: budget for the modeled dense slot array; exceeding
                 it raises :class:`~repro.robust.errors.GridMemoryError`
-                (a ``MemoryError``) instead of allocating — the modeled
-                GPU would OOM long before the lazily-mapped host pages do.
+                (a ``MemoryError``), as the modeled GPU would OOM.
         """
         coords = np.asarray(coords, dtype=np.int64)
-        if coords.shape[0] == 0:
-            raise ValueError("cannot size a grid table from zero coordinates")
-        lo = coords.min(axis=0)
-        hi = coords.max(axis=0)
-        lo[1:] -= margin
-        hi[1:] += margin
-        shape = hi - lo + 1
+        lo, shape = cls.box(coords, margin)
         if max_bytes is not None:
-            volume = int(np.prod(shape.astype(np.int64)))
+            volume = int(np.prod(shape))
             if volume * 8 > max_bytes:
                 raise GridMemoryError(
                     f"grid table of {volume} slots ({volume * 8} bytes) "
@@ -104,17 +114,21 @@ class GridTable:
         if (values < 0).any():
             raise ValueError("grid table values must be non-negative")
         idx = ravel_coords(coords, self.origin, self.shape)
-        newly = self._values[idx] == 0
-        # idx may repeat; count distinct new slots
-        new_slots = np.unique(idx[newly])
-        self._size += int(new_slots.shape[0])
-        self._values[idx] = values + 1
+        keys = np.concatenate([self._keys, idx])
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        # stable order puts the latest write last in each run of equal keys
+        last = np.empty(keys.shape[0], dtype=bool)
+        last[-1] = True
+        np.not_equal(keys[1:], keys[:-1], out=last[:-1])
+        self._keys = keys[last]
+        self._vals = np.concatenate([self._vals, values])[order][last]
         self.stats.build_accesses += coords.shape[0]
         reg = get_registry()
         reg.counter("table.accesses", backend="grid", op="build").inc(
             coords.shape[0]
         )
-        reg.gauge("table.load", backend="grid").set(self._size / self.volume)
+        reg.gauge("table.load", backend="grid").set(len(self) / self.volume)
 
     def lookup(self, coords: np.ndarray) -> np.ndarray:
         """Value per coordinate row, ``-1`` where absent or out of box."""
@@ -124,9 +138,11 @@ class GridTable:
         rel = coords - self.origin
         inside = ((rel >= 0) & (rel < self.shape)).all(axis=1)
         out = np.full(coords.shape[0], _EMPTY, dtype=np.int64)
-        if inside.any():
+        if inside.any() and len(self):
             idx = ravel_coords(coords[inside], self.origin, self.shape)
-            out[inside] = self._values[idx] - 1
+            pos = np.searchsorted(self._keys, idx)
+            np.minimum(pos, self._keys.shape[0] - 1, out=pos)
+            out[inside] = np.where(self._keys[pos] == idx, self._vals[pos], _EMPTY)
         self.stats.query_accesses += coords.shape[0]
         get_registry().counter("table.accesses", backend="grid", op="query").inc(
             coords.shape[0]
@@ -138,9 +154,9 @@ class GridTable:
         return self.lookup(coords) != _EMPTY
 
     def __len__(self) -> int:
-        return self._size
+        return int(self._keys.shape[0])
 
     @property
     def volume(self) -> int:
-        """Number of slots (the memory cost of collision freedom)."""
-        return int(self._values.shape[0])
+        """Number of modeled slots (the memory cost of collision freedom)."""
+        return self._volume

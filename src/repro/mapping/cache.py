@@ -29,7 +29,7 @@ Three entry kinds are cached (the whole mapping stage of a warm frame):
             kernel_size, stride, effective symmetry).
 
 Eviction is byte-budget LRU, accounted the same way the engine's
-``MAX_GRID_BYTES`` budget prices tables: actual backing-array bytes.
+``MAX_GRID_BYTES`` budget prices tables: modeled table bytes.
 Hits, misses, evictions, purges and the resident byte/entry gauges are
 emitted to the current :mod:`repro.obs.metrics` registry.
 
@@ -208,7 +208,7 @@ def kmap_nbytes(kmap) -> int:
 
 
 def index_nbytes(index) -> int:
-    """Resident bytes of one coordinate table (slot arrays)."""
+    """Modeled bytes of one coordinate table (its GPU slot arrays)."""
     return ENTRY_OVERHEAD_BYTES + int(index.stats.table_bytes)
 
 

@@ -38,6 +38,12 @@ MAGIC = b"RPB1"
 #: Artifact kinds the blob codec understands.
 ARTIFACT_KINDS = ("coords", "index", "kmap", "book", "frame")
 
+#: Layout marker of grid-index blobs: the table's occupied slots as
+#: sorted raveled keys plus values, O(N) however large the box.  Blobs
+#: without it (the old dense O(volume) slot array) fail to decode, so
+#: the store quarantines and rebuilds them.
+GRID_LAYOUT = "sorted"
+
 
 def _dumps(obj: dict) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
@@ -186,10 +192,13 @@ def _encode_index(index) -> bytes:
         return _pack("index", meta, [table._keys, table._values])
     meta = {
         "backend": "grid",
-        "size": int(table._size),
+        "layout": GRID_LAYOUT,
+        "size": len(table),
         "stats": _stats_meta(table.stats),
     }
-    return _pack("index", meta, [table.origin, table.shape, table._values])
+    return _pack(
+        "index", meta, [table.origin, table.shape, table._keys, table._vals]
+    )
 
 
 def _decode_index(meta: dict, arrays: list):
@@ -214,21 +223,44 @@ def _decode_index(meta: dict, arrays: list):
         table.stats = stats
         return CoordIndex(table)
     if backend == "grid":
-        if len(arrays) != 3:
-            raise StoreCorruptionError("grid-index blob needs 3 arrays")
-        origin, shape, values = arrays
+        if meta.get("layout") != GRID_LAYOUT:
+            raise StoreCorruptionError(
+                f"grid-index blob has layout {meta.get('layout')!r}, "
+                f"expected {GRID_LAYOUT!r}"
+            )
+        if len(arrays) != 4:
+            raise StoreCorruptionError("grid-index blob needs 4 arrays")
+        origin, shape, keys, values = arrays
         try:
             table = GridTable(origin=origin, shape=shape)
         except ValueError as e:
             raise StoreCorruptionError(
                 f"grid-index blob bounding box is malformed: {e}"
             ) from e
-        if values.shape != (table.volume,):
+        keys = keys.astype(np.int64)
+        values = values.astype(np.int64)
+        if keys.ndim != 1 or values.shape != keys.shape:
             raise StoreCorruptionError(
-                "grid-index blob slot array disagrees with box volume"
+                "grid-index blob key and value arrays disagree"
             )
-        table._values = values.astype(np.int64)
-        table._size = int(meta["size"])
+        if keys.shape[0] != meta.get("size"):
+            raise StoreCorruptionError(
+                f"grid-index blob holds {keys.shape[0]} slots, "
+                f"metadata says {meta.get('size')!r}"
+            )
+        if keys.size and (
+            keys[0] < 0
+            or keys[-1] >= table.volume
+            or (np.diff(keys) <= 0).any()
+        ):
+            raise StoreCorruptionError(
+                "grid-index blob keys are not strictly increasing slots "
+                "of the box"
+            )
+        if (values < 0).any():
+            raise StoreCorruptionError("grid-index blob has negative values")
+        table._keys = keys
+        table._vals = values
         table.stats = stats
         return CoordIndex(table)
     raise StoreCorruptionError(f"index blob has unknown backend {backend!r}")

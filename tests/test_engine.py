@@ -14,6 +14,7 @@ from repro.core.reference import sparse_conv_reference
 from repro.core.sparse_tensor import SparseTensor
 from repro.gpu.device import GTX_1080TI, RTX_2080TI, RTX_3090
 from repro.gpu.memory import DType
+from repro.hashmap.hash_table import HashTable
 from repro.mapping.downsample import downsample_coords
 from repro.robust.tolerance import CLOSE_FP32, EXACT_FP32, HALF
 
@@ -227,6 +228,17 @@ class TestBackendSelection:
         ctx = ExecutionContext(engine=eng)
         eng.convolution(x, make_weights(3, 6, 6), ctx)
         assert ctx.index_at_stride[1].table.__class__.__name__ == "HashTable"
+
+    def test_forced_grid_choice_sizes_the_built_box(self):
+        """The choice and the build size one box: extent 643 plus the
+        margin on both sides is 647^3 slots, past the budget, so a
+        forced grid falls back to hash rather than raising."""
+        coords = np.array([[0, 0, 0, 0], [0, 642, 642, 642]], dtype=np.int32)
+        x = SparseTensor(coords, np.zeros((2, 6), dtype=np.float32))
+        eng = BaseEngine(EngineConfig.baseline(map_backend="grid"))
+        ctx = ExecutionContext(engine=eng)
+        eng.convolution(x, make_weights(3, 6, 6), ctx)
+        assert isinstance(ctx.index_at_stride[1].table, HashTable)
 
     def test_unknown_backend_rejected(self):
         x = make_tensor()

@@ -1,11 +1,16 @@
 """Tests for the collision-free grid table."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.hashmap.grid_table import GridTable
+from repro.mapping.kmap import CoordIndex
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.robust.errors import GridMemoryError
 
 coords_strategy = st.lists(
     st.tuples(
@@ -91,6 +96,106 @@ class TestGridTable:
         got = t.lookup(qry)
         want = np.array([oracle.get(tuple(r), -1) for r in qry.tolist()])
         assert np.array_equal(got, want.reshape(got.shape))
+
+
+@st.composite
+def grid_cases(draw):
+    """A random box, 1-3 inserts into it (duplicates likely within and
+    across calls), and probes reaching up to 2 voxels past it."""
+    origin = np.array(
+        [draw(st.integers(0, 2))] + [draw(st.integers(-20, 20)) for _ in range(3)]
+    )
+    shape = np.array(
+        [draw(st.integers(1, 2))] + [draw(st.integers(1, 5)) for _ in range(3)]
+    )
+    slot = st.tuples(*(st.integers(0, int(s) - 1) for s in shape))
+    inserts = []
+    for _ in range(draw(st.integers(1, 3))):
+        rows = draw(st.lists(slot, max_size=30))
+        n = len(rows)
+        vals = draw(st.lists(st.integers(0, 1000), min_size=n, max_size=n))
+        inserts.append((as_array(rows) + origin, np.array(vals, dtype=np.int64)))
+    probe = st.tuples(*(st.integers(-2, int(s) + 1) for s in shape))
+    probes = as_array(draw(st.lists(probe, max_size=40))) + origin
+    return origin, shape, inserts, probes
+
+
+class TestSortedBacking:
+    """The host backing answers exactly like the dense box it models."""
+
+    @given(grid_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_dict_oracle_across_inserts(self, case):
+        origin, shape, inserts, probes = case
+        with use_registry(MetricsRegistry()) as reg:
+            t = GridTable(origin=origin, shape=shape)
+            oracle = {}
+            for rows, vals in inserts:
+                t.insert(rows, vals)
+                oracle.update(zip(map(tuple, rows.tolist()), vals.tolist()))
+            got = t.lookup(probes)
+            load = reg.scalars().get("table.load{backend=grid}")
+        want = [oracle.get(tuple(r), -1) for r in probes.tolist()]
+        assert got.tolist() == want
+        volume = int(np.prod(shape))
+        assert len(t) == len(oracle)
+        assert t.volume == volume
+        assert t.stats.table_bytes == volume * 8
+        assert t.stats.max_probe_len == 1
+        assert t.stats.build_accesses == sum(len(r) for r, _ in inserts)
+        assert t.stats.query_accesses == len(probes)
+        if oracle:
+            assert load == len(oracle) / volume
+
+    @given(grid_cases(), st.integers(0, 3), st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_bad_insert_raises_and_changes_nothing(self, case, axis, above):
+        origin, shape, inserts, probes = case
+        t = GridTable(origin=origin, shape=shape)
+        for rows, vals in inserts:
+            t.insert(rows, vals)
+        before = t.lookup(probes)
+        outside = origin.copy()
+        outside[axis] += shape[axis] if above else -1
+        with pytest.raises(ValueError):
+            t.insert(outside[None, :], np.array([0]))
+        with pytest.raises(ValueError):
+            t.insert(origin[None, :], np.array([-1]))
+        assert (t.lookup(probes) == before).all()
+
+    @given(grid_cases(), st.integers(0, 2), st.integers(-2, 2))
+    @settings(max_examples=60, deadline=None)
+    def test_budget_raises_exactly_past_max_bytes(self, case, margin, slack):
+        origin, _, inserts, _ = case
+        coords = np.vstack([origin[None, :]] + [rows for rows, _ in inserts])
+        extent = coords.max(axis=0) - coords.min(axis=0) + 1
+        extent[1:] += 2 * margin
+        volume = int(np.prod(extent))
+        max_bytes = volume * 8 + 4 * slack
+        if volume * 8 > max_bytes:
+            with pytest.raises(GridMemoryError):
+                GridTable.from_coords(coords, margin=margin, max_bytes=max_bytes)
+        else:
+            t = GridTable.from_coords(coords, margin=margin, max_bytes=max_bytes)
+            assert t.volume == volume
+
+    def test_host_memory_is_o_n_not_o_volume(self):
+        """A two-point cloud in a ~500^3 box: the modeled table is ~1 GB,
+        the host backing a few hundred bytes."""
+        coords = np.array([[0, 0, 0, 0], [0, 500, 500, 500]])
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        try:
+            index = CoordIndex.build(coords, backend="grid", margin=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert index.stats.table_bytes == 1_030_301_000  # 505^3 slots x 8
+        assert peak - base < 1 << 20
 
 
 class TestGridVsHashEquivalence:

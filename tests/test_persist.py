@@ -30,6 +30,7 @@ from repro.mapping.cache import (
 )
 from repro.mapping.kmap import CoordIndex, build_kmap
 from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.persist import blob
 from repro.persist import (
     ARTIFACT_KINDS,
     MANIFEST_NAME,
@@ -186,6 +187,94 @@ class TestBlobDefensiveDecode:
         with pytest.raises(ValueError):
             encode_artifact("sandwich", b"")
         assert "sandwich" not in ARTIFACT_KINDS
+
+
+def _swap_first_keys(meta, arrays):
+    arrays[2][[0, 1]] = arrays[2][[1, 0]]
+
+
+def _repeat_first_key(meta, arrays):
+    arrays[2][1] = arrays[2][0]
+
+
+def _negative_key(meta, arrays):
+    arrays[2][0] = -1
+
+
+def _key_past_volume(meta, arrays):
+    arrays[2][-1] = int(np.prod(arrays[1]))
+
+
+def _negative_value(meta, arrays):
+    arrays[3][0] = -1
+
+
+def _size_disagrees(meta, arrays):
+    meta["size"] += 1
+
+
+def _dense_layout(meta, arrays):
+    """The pre-versioning grid blob: one O(volume) value+1 slot array."""
+    origin, shape, keys, values = arrays
+    dense = np.zeros(int(np.prod(shape)), dtype=np.int64)
+    dense[keys] = values + 1
+    del meta["layout"]
+    arrays[:] = [origin, shape, dense]
+
+
+class TestGridIndexBlob:
+    """Grid-index blobs hold the occupied slots, not the dense box."""
+
+    def index(self):
+        return CoordIndex.build(make_coords(seed=3), backend="grid", margin=1)
+
+    def repack(self, mutate):
+        _, meta, arrays = blob._unpack(encode_artifact("index", self.index()))
+        mutate(meta, arrays)
+        return blob._pack("index", meta, arrays)
+
+    def test_roundtrip_keeps_table_and_stats(self):
+        index = self.index()
+        _, back = decode_artifact(encode_artifact("index", index))
+        rng = np.random.default_rng(0)
+        probes = rng.integers(-2, 18, size=(300, 4))
+        probes[:, 0] = rng.integers(0, 2, size=300)
+        assert (back.lookup(probes) == index.lookup(probes)).all()
+        assert len(back.table) == len(index.table)
+        assert back.table.volume == index.table.volume
+        assert back.stats == index.stats
+        _, meta, _ = blob._unpack(encode_artifact("index", index))
+        assert meta["layout"] == blob.GRID_LAYOUT
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            _swap_first_keys,
+            _repeat_first_key,
+            _negative_key,
+            _key_past_volume,
+            _negative_value,
+            _size_disagrees,
+            _dense_layout,
+        ],
+    )
+    def test_malformed_blob_rejected(self, mutate):
+        with pytest.raises(StoreCorruptionError):
+            decode_artifact(self.repack(mutate))
+
+    def test_dense_layout_quarantined_by_tier(self, tmp_path):
+        with use_registry(MetricsRegistry()) as reg:
+            store = ArtifactStore(tmp_path / "store")
+            key = IndexKey(coords_fingerprint(make_coords(seed=3)), "grid")
+            store.save(store_key(key), "index", self.repack(_dense_layout))
+            assert StoreBackedMappingCache(store).get(key) is None
+            assert reg.scalars()["persist.quarantined{reason=decode}"] == 1
+
+    def test_blob_size_is_o_n_not_o_volume(self):
+        coords = np.array([[0, 0, 0, 0], [0, 500, 500, 500]])
+        index = CoordIndex.build(coords, backend="grid", margin=2)
+        assert index.stats.table_bytes == 505**3 * 8
+        assert len(encode_artifact("index", index)) < 4096
 
 
 # -- store keys --------------------------------------------------------------
