@@ -539,7 +539,7 @@ def cmd_serve(args) -> int:
     injector = FaultInjector(seed=args.seed, specs=specs) if specs else None
 
     brownout = None
-    if args.brownout and not args.no_brownout:
+    if args.brownout:
         from repro.robust.brownout import BrownoutConfig
 
         brownout = BrownoutConfig(
@@ -1184,11 +1184,6 @@ def build_parser() -> argparse.ArgumentParser:
         "or burn-rate pressure the fleet steps down the QoS ladder "
         "(int8 compute, then half-resolution voxels) instead of "
         "shedding or missing deadlines",
-    )
-    p_serve.add_argument(
-        "--no-brownout", action="store_true",
-        help="explicitly serve everything at full quality (the default; "
-        "the baseline arm of brownout ablations)",
     )
     p_serve.add_argument(
         "--brownout-interval", type=float, default=None, metavar="SECONDS",

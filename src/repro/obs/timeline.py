@@ -206,23 +206,23 @@ def validate_journal(header: dict, events: list) -> list:
     * per request — the first event is ``arrival``, there is **exactly
       one** ``terminal`` event (with a known state), nothing happens
       after it, and no event precedes the arrival timestamp;
-    * every ``dispatch`` opens a unique attempt on a device, and every
-      attempt is closed by exactly one ``attempt_finish`` on the same
-      device with a known outcome;
-    * every retry/hedge dispatch carries a ``parent`` attempt id that
-      belongs to an earlier dispatch of the same request (the causal
-      link the trace renders as a flow arrow);
+    * every attempt is one device plus a set of member slices
+      ``(attempt, request)``.  A ``dispatch`` opens an attempt with
+      exactly one slice (request ``None`` for a probe); a
+      ``batch_dispatch`` adds a slice for a member of a formed batch,
+      and all of an attempt's slices agree on device and batch.  Each
+      slice is closed by exactly one ``attempt_finish`` for its
+      request, on the attempt's device, with a known outcome — a
+      batched attempt fans back out to one finish per member, which
+      the per-request terminal rule then enforces;
+    * every retry/hedge slice, solo or batched, carries a ``parent``
+      attempt id that belongs to an earlier dispatch of the same
+      request (the causal link the trace renders as a flow arrow);
     * every ``batch_formed`` names a fresh batch id, a known close
       reason, and a member list matching its ``size`` — and every
       member was *admitted* before the batch formed (a batch can only
       coalesce requests the admission queue accepted) and is not yet
       terminal;
-    * every ``batch_dispatch`` references a formed batch it is a member
-      of; the members of one batched attempt share the attempt id (one
-      slice per member, each on the same device) and each slice is
-      closed by exactly one ``attempt_finish`` for that member on that
-      device — one batched attempt fans back out to one terminal per
-      member, which the per-request terminal rule then enforces;
     * every ``qos_change`` carries a valid level/rung/direction and
       steps the level by exactly one from the previous change (the
       brownout controller never jumps rungs);
@@ -249,14 +249,12 @@ def validate_journal(header: dict, events: list) -> list:
     qos_level = 0
     arrivals: dict = {}
     terminals: dict = {}
-    attempt_open: dict = {}    # attempt id -> (request, device, seq)
-    attempt_closed: set = set()
+    attempts: dict = {}        # attempt id -> the event that opened it
+    slices: dict = {}          # (attempt id, request id) keys, in order
+    closed: set = set()        # slices an attempt_finish closed
     attempts_of: dict = {}     # request id -> [attempt ids]
     admitted: set = set()      # request ids the queue accepted
     batch_members: dict = {}   # batch id -> set of member request ids
-    batch_attempts: dict = {}  # attempt id -> (device, batch id)
-    batch_slice_open: set = set()    # (attempt id, request id)
-    batch_slice_closed: set = set()
     dead_slots: set = set()    # device labels with a journaled device_dead
     filled_slots: set = set()  # dead slots already taken by a replacement
     open_domains: set = set()  # domains with an unrecovered domain_outage
@@ -302,24 +300,56 @@ def validate_journal(header: dict, events: list) -> list:
                 terminals[req] = i
         if kind == "admit" and req is not None:
             admitted.add(req)
-        if kind == "dispatch":
+        if kind in ("dispatch", "batch_dispatch"):
             attempt = e.get("attempt")
             device = e.get("device")
+            attrs = e.get("attrs", {})
             if attempt is None or device is None:
-                problems.append(f"event {i}: dispatch without attempt/device")
+                problems.append(f"event {i}: {kind} without attempt/device")
                 continue
-            if attempt in attempt_open or attempt in batch_attempts:
-                problems.append(f"event {i}: attempt {attempt} dispatched "
-                                "twice")
-            attempt_open[attempt] = (req, device, i)
+            batch = None
+            if kind == "batch_dispatch":
+                batch = attrs.get("batch")
+                if batch not in batch_members:
+                    problems.append(
+                        f"event {i}: batch_dispatch for unformed batch "
+                        f"{batch!r}"
+                    )
+                elif req not in batch_members[batch]:
+                    problems.append(
+                        f"event {i}: request {req} is not a member of batch "
+                        f"{batch}"
+                    )
+            prior = attempts.get(attempt)
+            if prior is not None and "dispatch" in (kind, prior["kind"]):
+                # a dispatch is an attempt's only slice
+                problems.append(
+                    f"event {i}: attempt {attempt} dispatched twice"
+                )
+                prior = None
+            if prior is None:
+                attempts[attempt] = e
+            else:
+                opened = (prior["device"], prior.get("attrs", {}).get("batch"))
+                if opened != (device, batch):
+                    problems.append(
+                        f"event {i}: attempt {attempt} slices disagree on "
+                        f"device/batch ({opened} vs {(device, batch)})"
+                    )
+                if (attempt, req) in slices:
+                    problems.append(
+                        f"event {i}: request {req} dispatched twice in "
+                        f"attempt {attempt}"
+                    )
+            slices[(attempt, req)] = None
             if req is not None:
                 attempts_of.setdefault(req, []).append(attempt)
-            dkind = e.get("attrs", {}).get("kind")
+            dkind = attrs.get("kind")
             if dkind in LINKED_DISPATCH_KINDS:
-                parent = e.get("attrs", {}).get("parent")
+                parent = attrs.get("parent")
                 if parent is None:
                     problems.append(
-                        f"event {i}: {dkind} dispatch without parent attempt"
+                        f"event {i}: {dkind} {kind} without parent attempt"
                     )
                 elif parent not in (attempts_of.get(req) or [])[:-1]:
                     problems.append(
@@ -367,58 +397,6 @@ def validate_journal(header: dict, events: list) -> list:
                         f"terminal"
                     )
             batch_members[batch] = set(members)
-        elif kind == "batch_dispatch":
-            attempt = e.get("attempt")
-            device = e.get("device")
-            attrs = e.get("attrs", {})
-            batch = attrs.get("batch")
-            if attempt is None or device is None:
-                problems.append(
-                    f"event {i}: batch_dispatch without attempt/device"
-                )
-                continue
-            if batch not in batch_members:
-                problems.append(
-                    f"event {i}: batch_dispatch for unformed batch "
-                    f"{batch!r}"
-                )
-            elif req not in batch_members[batch]:
-                problems.append(
-                    f"event {i}: request {req} is not a member of batch "
-                    f"{batch}"
-                )
-            if attempt in attempt_open:
-                problems.append(
-                    f"event {i}: attempt {attempt} dispatched twice"
-                )
-            prior = batch_attempts.get(attempt)
-            if prior is not None and prior != (device, batch):
-                problems.append(
-                    f"event {i}: attempt {attempt} slices disagree on "
-                    f"device/batch ({prior} vs {(device, batch)})"
-                )
-            batch_attempts[attempt] = (device, batch)
-            if (attempt, req) in batch_slice_open:
-                problems.append(
-                    f"event {i}: request {req} dispatched twice in "
-                    f"attempt {attempt}"
-                )
-            batch_slice_open.add((attempt, req))
-            if req is not None:
-                attempts_of.setdefault(req, []).append(attempt)
-            dkind = attrs.get("kind")
-            if dkind in LINKED_DISPATCH_KINDS:
-                parent = attrs.get("parent")
-                if parent is None:
-                    problems.append(
-                        f"event {i}: {dkind} batch_dispatch without parent "
-                        f"attempt"
-                    )
-                elif parent not in (attempts_of.get(req) or [])[:-1]:
-                    problems.append(
-                        f"event {i}: {dkind} parent {parent} is not an "
-                        f"earlier attempt of request {req}"
-                    )
         elif kind == "qos_change":
             attrs = e.get("attrs", {})
             level = attrs.get("level")
@@ -513,55 +491,42 @@ def validate_journal(header: dict, events: list) -> list:
                 open_domains.discard(domain)
         elif kind == "attempt_finish":
             attempt = e.get("attempt")
-            if attempt in batch_attempts:
-                # a batched attempt fans out to one finish per member
-                dev, _ = batch_attempts[attempt]
-                if e.get("device") != dev:
-                    problems.append(
-                        f"event {i}: attempt {attempt} finished on "
-                        f"{e.get('device')!r}, dispatched on {dev!r}"
-                    )
-                if (attempt, req) not in batch_slice_open:
-                    problems.append(
-                        f"event {i}: attempt_finish for request {req} "
-                        f"never dispatched in attempt {attempt}"
-                    )
-                elif (attempt, req) in batch_slice_closed:
-                    problems.append(
-                        f"event {i}: attempt {attempt} finished twice for "
-                        f"request {req}"
-                    )
-                else:
-                    batch_slice_closed.add((attempt, req))
-                outcome = e.get("attrs", {}).get("outcome")
-                if outcome not in ATTEMPT_OUTCOMES:
-                    problems.append(
-                        f"event {i}: attempt_finish with unknown outcome "
-                        f"{outcome!r}"
-                    )
-                continue
-            if attempt not in attempt_open:
+            if attempt not in attempts:
                 problems.append(
                     f"event {i}: attempt_finish for undispatched attempt "
                     f"{attempt}"
                 )
             else:
-                opened_req, opened_dev, _ = attempt_open[attempt]
-                if req != opened_req:
-                    problems.append(
-                        f"event {i}: attempt {attempt} finished for request "
-                        f"{req}, dispatched for {opened_req}"
-                    )
-                if e.get("device") != opened_dev:
+                opened = attempts[attempt]
+                solo = opened["kind"] == "dispatch"
+                member = (attempt, req)
+                if solo:
+                    # a dispatch's one slice is the attempt's only slice
+                    if req != opened.get("request"):
+                        problems.append(
+                            f"event {i}: attempt {attempt} finished for "
+                            f"request {req}, dispatched for "
+                            f"{opened.get('request')}"
+                        )
+                    member = (attempt, opened.get("request"))
+                if e.get("device") != opened["device"]:
                     problems.append(
                         f"event {i}: attempt {attempt} finished on "
-                        f"{e.get('device')!r}, dispatched on {opened_dev!r}"
+                        f"{e.get('device')!r}, dispatched on "
+                        f"{opened['device']!r}"
                     )
-                if attempt in attempt_closed:
+                if member not in slices:
+                    problems.append(
+                        f"event {i}: attempt_finish for request {req} "
+                        f"never dispatched in attempt {attempt}"
+                    )
+                elif member in closed:
                     problems.append(
                         f"event {i}: attempt {attempt} finished twice"
+                        + ("" if solo else f" for request {req}")
                     )
-                attempt_closed.add(attempt)
+                else:
+                    closed.add(member)
             outcome = e.get("attrs", {}).get("outcome")
             if outcome not in ATTEMPT_OUTCOMES:
                 problems.append(
@@ -571,13 +536,16 @@ def validate_journal(header: dict, events: list) -> list:
     for req in arrivals:
         if req not in terminals:
             problems.append(f"request {req}: no terminal event")
-    for attempt, (req, _, seq) in attempt_open.items():
-        if attempt not in attempt_closed:
+    for attempt, req in slices:
+        if (attempt, req) in closed:
+            continue
+        opened = attempts[attempt]
+        if opened["kind"] == "dispatch":
             problems.append(
-                f"attempt {attempt} (request {req}, seq {seq}) never finished"
+                f"attempt {attempt} (request {req}, seq {opened.get('seq')}) "
+                f"never finished"
             )
-    for attempt, req in batch_slice_open:
-        if (attempt, req) not in batch_slice_closed:
+        else:
             problems.append(
                 f"batched attempt {attempt} never finished for request {req}"
             )

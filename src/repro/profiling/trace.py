@@ -159,6 +159,11 @@ def _us(t: float) -> float:
     return round(t * 1e6, 3)
 
 
+def _counter(name: str, t: float, **args) -> dict:
+    """One sample of the counter track ``name`` at sim time ``t``."""
+    return {"name": name, "ph": "C", "pid": 1, "ts": _us(t), "args": args}
+
+
 def to_serve_trace(
     header: dict, events: list, process_name: str = "serve-campaign"
 ) -> dict:
@@ -167,14 +172,18 @@ def to_serve_trace(
     Track layout (one process):
 
     * one thread per fleet device — every attempt (primary / retry /
-      hedge / probe) is an ``X`` duration slice from its ``dispatch``
-      to its ``attempt_finish``, named by its dispatch kind with the
-      outcome in ``args``;
-    * flow arrows (``s``/``f`` pairs) link every retry and hedge
-      dispatch back to its causal parent attempt;
-    * ``quarantine`` / ``readmit`` / ``device_dead`` and (steady-state)
-      mapping-cache warm/cold dispatches render as instant events on
-      the device that produced them;
+      hedge / probe, solo or batched) is **one** ``X`` duration slice
+      from its first ``dispatch`` / ``batch_dispatch`` slice to its
+      ``attempt_finish``, with the outcome in ``args``.  A solo
+      attempt is named by its dispatch kind, a batched one ``batch
+      xN`` (``hedge xN`` for a hedge duplicate of a batch);
+    * flow arrows (``s``/``f`` pairs) link every member dispatch that
+      carries a causal parent (a retry or hedge, solo or inside a
+      batch) back to that parent attempt;
+    * ``quarantine`` / ``readmit`` / ``device_dead`` render as instant
+      events on the device that produced them, and so does the
+      mapping-cache warm/cold of a steady-state solo ``dispatch``.  A
+      batched steady-state attempt gets no mapcache instant;
     * a ``requests`` thread carries one instant per terminal state;
     * a ``queue depth`` counter tracks the admission queue over the
       campaign;
@@ -186,13 +195,9 @@ def to_serve_trace(
       ``domain_recovered`` breaker transition, plus one per storm-
       defense ``retry_denied``) and a ``domains down`` counter tracking
       how many domain breakers are open;
-    * batched campaigns render each batched attempt as **one** slice on
-      its device (members share the attempt id, so the slice is deduped
-      across ``batch_dispatch`` member events), each ``batch_formed``
-      close as an instant carrying the close reason and hold time, a
-      ``batch size`` counter track stepping at every close, and one
-      flow arrow per member whose slice carries a causal parent
-      (retries and hedge duplicates inside a batch keep their arrows).
+    * batched campaigns add an instant per ``batch_formed`` close,
+      carrying the close reason and hold time, and a ``batch size``
+      counter track stepping at every close.
     """
     devices = list(header.get("devices") or [])
     for e in events:
@@ -229,29 +234,13 @@ def to_serve_trace(
             }
         )
         # anchor the counter at full quality from t=0
-        trace_events.append(
-            {
-                "name": "qos level",
-                "ph": "C",
-                "pid": 1,
-                "ts": 0.0,
-                "args": {"level": 0},
-            }
-        )
+        trace_events.append(_counter("qos level", 0.0, level=0))
     has_batching = bool(header.get("batching")) or any(
         e["kind"] == "batch_formed" for e in events
     )
     if has_batching:
         # anchor the counter so the track exists from t=0
-        trace_events.append(
-            {
-                "name": "batch size",
-                "ph": "C",
-                "pid": 1,
-                "ts": 0.0,
-                "args": {"size": 0},
-            }
-        )
+        trace_events.append(_counter("batch size", 0.0, size=0))
     has_domains = bool(header.get("domains")) or any(
         e["kind"] in ("domain_outage", "domain_recovered", "retry_denied")
         for e in events
@@ -268,15 +257,7 @@ def to_serve_trace(
             }
         )
         # anchor the breaker counter at all-closed from t=0
-        trace_events.append(
-            {
-                "name": "domains down",
-                "ph": "C",
-                "pid": 1,
-                "ts": 0.0,
-                "args": {"down": 0},
-            }
-        )
+        trace_events.append(_counter("domains down", 0.0, down=0))
     for label, tid in tid_of.items():
         trace_events.append(
             {
@@ -288,65 +269,66 @@ def to_serve_trace(
             }
         )
 
-    # first pass: attempt intervals (dispatch -> attempt_finish)
-    dispatches: dict = {}  # attempt -> dispatch event
+    # first pass: attempt intervals (first slice -> attempt_finish)
+    dispatches: dict = {}  # attempt -> its first dispatch slice
     finishes: dict = {}    # attempt -> attempt_finish event
     for e in events:
-        if e["kind"] == "dispatch":
-            dispatches[e["attempt"]] = e
-        elif e["kind"] == "batch_dispatch":
-            # members share the attempt; the first slice fixes its
-            # device and start for flow-arrow sources
+        if e["kind"] in ("dispatch", "batch_dispatch"):
             dispatches.setdefault(e["attempt"], e)
         elif e["kind"] == "attempt_finish":
             finishes[e["attempt"]] = e
 
     flow_id = 0
     last_depth = None
-    batched_drawn: set = set()  # attempt ids already given a slice
     for e in events:
         kind, t = e["kind"], e["t"]
         depth = e.get("queue_depth")
         if depth is not None and depth != last_depth:
-            trace_events.append(
-                {
-                    "name": "queue depth",
-                    "ph": "C",
-                    "pid": 1,
-                    "ts": _us(t),
-                    "args": {"depth": depth},
-                }
-            )
+            trace_events.append(_counter("queue depth", t, depth=depth))
             last_depth = depth
-        if kind == "dispatch":
+        if kind in ("dispatch", "batch_dispatch"):
             attempt = e["attempt"]
             tid = tid_of[e["device"]]
-            finish = finishes.get(attempt)
-            end_t = finish["t"] if finish is not None else t
             attrs = e.get("attrs", {})
             dkind = attrs.get("kind", "primary")
-            args = {
-                "attempt": attempt,
-                "request": e.get("request"),
-                "outcome": (finish or {}).get("attrs", {}).get("outcome"),
-                "slack": e.get("slack"),
-            }
-            for key in ("model", "scene", "warm", "qos"):
-                if key in attrs:
-                    args[key] = attrs[key]
-            trace_events.append(
-                {
-                    "name": dkind,
-                    "cat": "attempt",
-                    "ph": "X",
-                    "pid": 1,
-                    "tid": tid,
-                    "ts": _us(t),
-                    "dur": round(_us(end_t) - _us(t), 3),
-                    "args": args,
+            if dispatches[attempt] is e:
+                # the attempt's first slice draws it: a batch's members
+                # share one slice on the device
+                finish = finishes.get(attempt)
+                end_t = finish["t"] if finish is not None else t
+                args = {
+                    "attempt": attempt,
+                    "outcome": (finish or {}).get("attrs", {}).get("outcome"),
                 }
-            )
-            if "warm" in attrs:
+                if kind == "dispatch":
+                    name = dkind
+                    args["request"] = e.get("request")
+                    args["slack"] = e.get("slack")
+                    keys = ("model", "scene", "warm", "qos")
+                else:
+                    name = "%s x%s" % (
+                        "hedge" if dkind == "hedge" else "batch",
+                        attrs.get("size"),
+                    )
+                    args["batch"] = attrs.get("batch")
+                    args["size"] = attrs.get("size")
+                    keys = ("model", "warm", "qos")
+                for key in keys:
+                    if key in attrs:
+                        args[key] = attrs[key]
+                trace_events.append(
+                    {
+                        "name": name,
+                        "cat": "attempt",
+                        "ph": "X",
+                        "pid": 1,
+                        "tid": tid,
+                        "ts": _us(t),
+                        "dur": round(_us(end_t) - _us(t), 3),
+                        "args": args,
+                    }
+                )
+            if kind == "dispatch" and "warm" in attrs:
                 trace_events.append(
                     {
                         "name": "mapcache:%s"
@@ -405,70 +387,8 @@ def to_serve_trace(
                 }
             )
             trace_events.append(
-                {
-                    "name": "batch size",
-                    "ph": "C",
-                    "pid": 1,
-                    "ts": _us(t),
-                    "args": {"size": attrs.get("size")},
-                }
+                _counter("batch size", t, size=attrs.get("size"))
             )
-        elif kind == "batch_dispatch":
-            attempt = e["attempt"]
-            tid = tid_of[e["device"]]
-            attrs = e.get("attrs", {})
-            dkind = attrs.get("kind", "primary")
-            if attempt not in batched_drawn:
-                batched_drawn.add(attempt)
-                finish = finishes.get(attempt)
-                end_t = finish["t"] if finish is not None else t
-                args = {
-                    "attempt": attempt,
-                    "batch": attrs.get("batch"),
-                    "size": attrs.get("size"),
-                    "outcome": (finish or {}).get("attrs", {}).get("outcome"),
-                }
-                for key in ("model", "warm", "qos"):
-                    if key in attrs:
-                        args[key] = attrs[key]
-                trace_events.append(
-                    {
-                        "name": "%s x%s"
-                        % (
-                            "hedge" if dkind == "hedge" else "batch",
-                            attrs.get("size"),
-                        ),
-                        "cat": "attempt",
-                        "ph": "X",
-                        "pid": 1,
-                        "tid": tid,
-                        "ts": _us(t),
-                        "dur": round(_us(end_t) - _us(t), 3),
-                        "args": args,
-                    }
-                )
-            parent = attrs.get("parent")
-            if parent is not None and parent in dispatches:
-                parent_tid = tid_of[dispatches[parent]["device"]]
-                parent_finish = finishes.get(parent)
-                s_t = (
-                    parent_finish["t"]
-                    if parent_finish is not None and parent_finish["t"] <= t
-                    else t
-                )
-                flow_id += 1
-                common = {
-                    "cat": dkind,
-                    "name": dkind,
-                    "id": flow_id,
-                    "pid": 1,
-                }
-                trace_events.append(
-                    {**common, "ph": "s", "tid": parent_tid, "ts": _us(s_t)}
-                )
-                trace_events.append(
-                    {**common, "ph": "f", "bp": "e", "tid": tid, "ts": _us(t)}
-                )
         elif kind in ("quarantine", "readmit", "device_dead"):
             trace_events.append(
                 {
@@ -518,13 +438,7 @@ def to_serve_trace(
                 }
             )
             trace_events.append(
-                {
-                    "name": "qos level",
-                    "ph": "C",
-                    "pid": 1,
-                    "ts": _us(t),
-                    "args": {"level": attrs.get("level")},
-                }
+                _counter("qos level", t, level=attrs.get("level"))
             )
         elif kind == "hedge_skip":
             trace_events.append(
@@ -560,15 +474,7 @@ def to_serve_trace(
                     },
                 }
             )
-            trace_events.append(
-                {
-                    "name": "domains down",
-                    "ph": "C",
-                    "pid": 1,
-                    "ts": _us(t),
-                    "args": {"down": domains_down},
-                }
-            )
+            trace_events.append(_counter("domains down", t, down=domains_down))
         elif kind == "retry_denied":
             trace_events.append(
                 {

@@ -363,9 +363,8 @@ class Server:
         self._qos_interval = 0.0
         #: cumulative QualityConfig per ladder level (index 0 = full)
         self._qualities: list = []
-        # terminal tallies of the current controller window
-        self._qos_finished = 0
-        self._qos_misses = 0
+        #: first journal event the brownout window has not yet read
+        self._qos_cursor = 0
         #: per-device (model, scene) pairs already dispatched — a
         #: repeat on the same device is a warm frame for its mapping
         #: cache.  Marked at dispatch: the mapping stage runs first, so
@@ -418,14 +417,7 @@ class Server:
 
     def _on_queue_shed(self, req: Request, reason: str, now: float) -> None:
         """Queue-internal shed (reject-on-full / expiry) -> terminal."""
-        self._note_terminal(completed=False)
         self._emit("terminal", req, state=SHED, reason=reason)
-
-    def _note_terminal(self, completed: bool) -> None:
-        """Tally a terminal outcome into the brownout signal window."""
-        self._qos_finished += 1
-        if not completed:
-            self._qos_misses += 1
 
     def _noise(self) -> float:
         sigma = self.config.noise_sigma
@@ -497,7 +489,8 @@ class Server:
 
         The run's journal is folded once at the end: the report takes
         its tallies from it and the current metrics registry receives
-        its ``serve.*`` counters and histograms.
+        its ``serve.*`` counters and histograms, beside the brownout and
+        retry-budget gauges.
         """
         cfg = self.config
         self._requests = requests
@@ -529,8 +522,7 @@ class Server:
             self._qualities = [
                 b.ladder.quality_at(level) for level in range(b.ladder.floor + 1)
             ]
-            get_registry().gauge("serve.qos_level").set(0)
-        first_event = len(self.recorder.events)
+        first_event = self._qos_cursor = len(self.recorder.events)
         self._warmstart_fleet()
         # correlated fault windows are drawn once, pre-event-loop, from
         # the injector's RNG — zero draws when no domain kind is armed,
@@ -562,7 +554,16 @@ class Server:
             handlers[kind](ref)
         self._final_sweep()
         ledger = fold_journal(self.recorder.events[first_event:])
-        ledger.publish(get_registry())
+        registry = get_registry()
+        ledger.publish(registry)
+        # controller state the journal does not carry, as last-value
+        # gauges; the retry bucket's only once a granted retry or a
+        # success has touched it
+        if self.brownout is not None:
+            registry.gauge("serve.qos_level").set(self.brownout.level)
+        budget = self.retry_budget
+        if budget is not None and (budget.taken or ledger.completed):
+            registry.gauge("serve.retry_budget_tokens").set(budget.tokens)
         return self._report(ledger)
 
     def _req(self, req_id: int) -> Request:
@@ -1045,14 +1046,12 @@ class Server:
                     # about — resolve it now instead of burning a slot
                     req.error = "retry denied: insufficient deadline slack"
                     req.resolve(DEADLINE_EXCEEDED, self.now)
-                    self._note_terminal(completed=False)
                     self._emit("terminal", req, state=DEADLINE_EXCEEDED,
                                error=req.error)
                     return
                 # budget denial falls through to FAILED
         req.error = reason
         req.resolve(FAILED, self.now)
-        self._note_terminal(completed=False)
         self._emit("terminal", req, state=FAILED, error=reason)
 
     def _storm_denies_retry(self, req: Request, delay: float):
@@ -1069,9 +1068,6 @@ class Server:
                 return "deadline"
         if not self.retry_budget.take():
             return "budget"
-        get_registry().gauge("serve.retry_budget_tokens").set(
-            self.retry_budget.tokens
-        )
         return None
 
     def _best_healthy_service(self, model: str):
@@ -1093,9 +1089,6 @@ class Server:
             # of what actually succeeds
             for _ in members:
                 self.retry_budget.credit()
-            get_registry().gauge("serve.retry_budget_tokens").set(
-                self.retry_budget.tokens
-            )
         self._record_service(self.now - a.start)
         for m in members:
             self._emit(
@@ -1130,12 +1123,10 @@ class Server:
                 m.corrupted = True
             if self.now <= m.deadline:
                 m.resolve(COMPLETED, self.now)
-                self._note_terminal(completed=True)
                 self._emit("terminal", m, state=COMPLETED,
                            latency=m.latency, corrupted=m.corrupted)
             else:
                 m.resolve(DEADLINE_EXCEEDED, self.now)
-                self._note_terminal(completed=False)
                 self._emit("terminal", m, state=DEADLINE_EXCEEDED,
                            latency=m.latency)
 
@@ -1146,18 +1137,22 @@ class Server:
         tick never keeps the heap alive on its own, so a campaign still
         terminates the instant its last request resolves.
         """
-        ctl = self.brownout
-        misses, finished = self._qos_misses, self._qos_finished
-        self._qos_misses = 0
-        self._qos_finished = 0
-        change = ctl.observe(
+        # the window's signal is read off the journal: every terminal
+        # since the last tick finished, and any not completed missed
+        events = self.recorder.events
+        states = [
+            e["attrs"]["state"]
+            for e in events[self._qos_cursor:]
+            if e["kind"] == "terminal"
+        ]
+        self._qos_cursor = len(events)
+        change = self.brownout.observe(
             self.now,
             queue_depth=self.queue.depth,
-            misses=misses,
-            finished=finished,
+            misses=sum(state != COMPLETED for state in states),
+            finished=len(states),
         )
         if change is not None:
-            get_registry().gauge("serve.qos_level").set(ctl.level)
             self._emit(
                 "qos_change",
                 level=change["level"],

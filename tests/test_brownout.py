@@ -745,9 +745,3 @@ class TestBrownoutCLI:
         assert header["brownout"] is True
         assert validate_journal(header, events) == []
 
-    def test_no_brownout_flag_wins(self, tmp_path):
-        blob, journal = self._run(
-            tmp_path, "base", "--brownout", "--no-brownout"
-        )
-        assert blob["qos"]["enabled"] is False
-        assert '"qos_change"' not in journal

@@ -17,9 +17,10 @@ oracle's pricing.  A refactor of the serve loop must keep every digest.
 
 The module also checks that ``max_batch=1`` is the unbatched fleet:
 every request ends in the same state, at the same instant, on the same
-devices, with the same retries and hedge flags; and that each case's
+devices, with the same retries and hedge flags; that each case's
 journal, written to disk and read back, folds to the report's tallies
-and the registry's ``serve.*`` lines.
+and the registry's ``serve.*`` lines; and that each journal validates
+and renders one trace slice per attempt, solo or batched.
 
 Regenerate the data file (only when a change of behaviour is intended)
 with ``PYTHONPATH=src python tests/test_serve_goldens.py``.
@@ -34,8 +35,12 @@ import pytest
 
 from repro.gpu.device import RTX_2080TI, RTX_3090
 from repro.obs.metrics import MetricsRegistry, use_registry
-from repro.obs.timeline import TimelineRecorder, load_journal
-from repro.profiling.trace import to_serve_trace
+from repro.obs.timeline import (
+    TimelineRecorder,
+    load_journal,
+    validate_journal,
+)
+from repro.profiling.trace import attempt_events, flow_events, to_serve_trace
 from repro.robust.brownout import BrownoutConfig
 from repro.robust.domains import StormConfig
 from repro.robust.faults import FaultInjector, FaultSpec
@@ -224,6 +229,29 @@ def test_journal_file_folds_to_report_and_metrics(case, campaigns, tmp_path):
         m["name"] for m in live
         if m["name"].startswith("serve.") and m["type"] != "gauge"
     } <= names
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_journal_validates_and_traces_one_slice_per_attempt(case, campaigns):
+    """Each golden journal is a valid flight record, and its trace draws
+    one attempt slice per attempt id (probes included) and one flow
+    arrow per member dispatch whose parent attempt was dispatched."""
+    recorder = campaigns(case).recorder
+    header, events = recorder.header(), recorder.events
+    assert validate_journal(header, events) == []
+    dispatches = [
+        e for e in events if e["kind"] in ("dispatch", "batch_dispatch")
+    ]
+    attempt_ids = {e["attempt"] for e in dispatches}
+    trace = to_serve_trace(header, events)
+    slices = [e["args"]["attempt"] for e in attempt_events(trace)]
+    assert sorted(slices) == sorted(attempt_ids)
+    linked = sum(
+        1 for e in dispatches if e["attrs"].get("parent") in attempt_ids
+    )
+    flows = flow_events(trace)
+    assert [e["ph"] for e in flows] == ["s", "f"] * linked
+    assert [e["id"] for e in flows] == [i // 2 + 1 for i in range(2 * linked)]
 
 
 def _outcomes(report) -> list:

@@ -241,6 +241,235 @@ class TestValidator:
         ]
 
 
+#: the two journal formats an attempt can open in
+FORMATS = ("dispatch", "batch_dispatch")
+
+
+class AttemptJournal:
+    """A two-request journal whose attempts open in a chosen format.
+
+    ``dispatch`` journals one event per attempt; ``batch_dispatch``
+    forms a fresh batch of the attempt's requests and journals one
+    member slice per request.  Both requests arrive and are admitted
+    first, and :meth:`problems` ends them before validating.  Each
+    event lands one millisecond after the previous one.
+    """
+
+    def __init__(self) -> None:
+        self.rec = TimelineRecorder()
+        self.batches = 0
+        self.t = 0.0
+        for rid in (0, 1):
+            self.rec.emit("arrival", self.t, request=rid)
+            self.rec.emit("admit", self.t, request=rid)
+
+    def open(self, fmt, attempt, requests=(0,), device="d0", **attrs):
+        attrs.setdefault("kind", "primary")
+        if fmt == "dispatch":
+            (rid,) = requests
+            self.rec.emit("dispatch", self.tick(), request=rid,
+                          attempt=attempt, device=device, **attrs)
+            return
+        self.batch(list(requests), device)
+        for rid in requests:
+            self.rec.emit("batch_dispatch", self.tick(), request=rid,
+                          attempt=attempt, device=device, batch=self.batches,
+                          size=len(requests), **attrs)
+
+    def batch(self, members, device="d0"):
+        self.batches += 1
+        self.rec.emit("batch_formed", self.tick(), request=members[0],
+                      device=device, batch=self.batches, size=len(members),
+                      members=members, reason="full", held=0.0)
+
+    def tick(self):
+        self.t += 0.001
+        return self.t
+
+    def finish(self, attempt, request=0, device="d0", outcome="ok"):
+        self.rec.emit("attempt_finish", self.tick(), request=request,
+                      attempt=attempt, device=device, outcome=outcome)
+
+    def problems(self):
+        for rid in (0, 1):
+            self.rec.emit("terminal", self.tick(), request=rid,
+                          state="completed")
+        return validate_journal(self.rec.header(), self.rec.events)
+
+
+def _valid(j, fmt):
+    j.open(fmt, 0)
+    j.finish(0, outcome="crash")
+    j.open(fmt, 1, kind="retry", parent=0)
+    j.open(fmt, 2, kind="hedge", parent=1, device="d1")
+    j.finish(1)
+    j.finish(2, outcome="cancelled", device="d1")
+    j.open(fmt, 3, requests=(1,))
+    j.finish(3, request=1)
+
+
+def _undispatched_finish(j, fmt):
+    j.open(fmt, 0)
+    j.finish(0)
+    j.finish(5)
+
+
+def _finish_on_wrong_device(j, fmt):
+    j.open(fmt, 0, device="d0")
+    j.finish(0, device="d1")
+
+
+def _finish_twice(j, fmt):
+    j.open(fmt, 0)
+    j.finish(0)
+    j.finish(0)
+
+
+def _finish_for_foreign_request(j, fmt):
+    j.open(fmt, 0)
+    j.finish(0, request=1)
+
+
+def _never_finishes(j, fmt):
+    j.open(fmt, 0)
+
+
+def _retry_without_parent(j, fmt):
+    j.open(fmt, 0)
+    j.finish(0, outcome="crash")
+    j.open(fmt, 1, kind="retry")
+    j.finish(1)
+
+
+def _retry_with_foreign_parent(j, fmt):
+    j.open(fmt, 0, requests=(1,))
+    j.finish(0, request=1)
+    j.open(fmt, 1)
+    j.finish(1, outcome="crash")
+    j.open(fmt, 2, kind="retry", parent=0)
+    j.finish(2)
+
+
+def _hedge_names_itself(j, fmt):
+    j.open(fmt, 0)
+    j.open(fmt, 1, kind="hedge", parent=1, device="d1")
+    j.finish(0)
+    j.finish(1, outcome="cancelled", device="d1")
+
+
+#: case -> (journal builder, format -> a substring one problem contains)
+VALIDATOR_CASES = {
+    "finish-undispatched": (
+        _undispatched_finish,
+        dict.fromkeys(FORMATS, "attempt_finish for undispatched attempt 5"),
+    ),
+    "finish-wrong-device": (
+        _finish_on_wrong_device,
+        dict.fromkeys(FORMATS, "finished on 'd1', dispatched on 'd0'"),
+    ),
+    "finish-twice": (
+        _finish_twice,
+        dict.fromkeys(FORMATS, "attempt 0 finished twice"),
+    ),
+    "finish-foreign-request": (
+        _finish_for_foreign_request,
+        {
+            "dispatch": "finished for request 1, dispatched for 0",
+            "batch_dispatch": "request 1 never dispatched in attempt 0",
+        },
+    ),
+    "never-finishes": (
+        _never_finishes,
+        {
+            "dispatch": "attempt 0 (request 0, seq 4) never finished",
+            "batch_dispatch": "attempt 0 never finished for request 0",
+        },
+    ),
+    "retry-without-parent": (
+        _retry_without_parent,
+        {fmt: f"retry {fmt} without parent attempt" for fmt in FORMATS},
+    ),
+    "retry-foreign-parent": (
+        _retry_with_foreign_parent,
+        dict.fromkeys(
+            FORMATS, "retry parent 0 is not an earlier attempt of request 0"
+        ),
+    ),
+    "hedge-names-itself": (
+        _hedge_names_itself,
+        dict.fromkeys(
+            FORMATS, "hedge parent 1 is not an earlier attempt of request 0"
+        ),
+    ),
+}
+
+
+class TestAttemptValidation:
+    """Every attempt check fires whichever format opened the attempt."""
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    def test_valid_journal_in_either_format(self, fmt):
+        j = AttemptJournal()
+        _valid(j, fmt)
+        assert j.problems() == []
+
+    @pytest.mark.parametrize("fmt", FORMATS)
+    @pytest.mark.parametrize("case", list(VALIDATOR_CASES))
+    def test_problem_reported(self, case, fmt):
+        build, expected = VALIDATOR_CASES[case]
+        j = AttemptJournal()
+        build(j, fmt)
+        problems = j.problems()
+        assert any(expected[fmt] in p for p in problems), problems
+
+    @pytest.mark.parametrize("second", FORMATS)
+    @pytest.mark.parametrize("first", FORMATS)
+    def test_attempt_id_reused(self, first, second):
+        j = AttemptJournal()
+        j.open(first, 0)
+        j.finish(0)
+        j.open(second, 0, requests=(1,))
+        j.finish(0, request=1)
+        problems = j.problems()
+        if first == second == "batch_dispatch":
+            # a second batch under a batched attempt's id
+            expected = "attempt 0 slices disagree on device/batch"
+        else:
+            expected = "attempt 0 dispatched twice"
+        assert any(expected in p for p in problems), problems
+
+    # membership and slice agreement are batch-only: a ``dispatch`` has
+    # no formed batch to be a member of and only one slice
+
+    def test_batch_dispatch_for_non_member(self):
+        j = AttemptJournal()
+        j.batch([0])
+        j.rec.emit("batch_dispatch", j.tick(), request=1, attempt=0,
+                   device="d0", batch=1, size=1, kind="primary")
+        j.finish(0, request=1)
+        assert any("request 1 is not a member of batch 1" in p
+                   for p in j.problems())
+
+    def test_batch_slices_disagree_on_device(self):
+        j = AttemptJournal()
+        j.batch([0, 1])
+        for rid, dev in ((0, "d0"), (1, "d1")):
+            j.rec.emit("batch_dispatch", j.tick(), request=rid, attempt=0,
+                       device=dev, batch=1, size=2, kind="primary")
+            j.finish(0, request=rid, device=dev)
+        assert any("attempt 0 slices disagree on device/batch" in p
+                   for p in j.problems())
+
+    def test_batch_slice_dispatched_twice(self):
+        j = AttemptJournal()
+        j.open("batch_dispatch", 0)
+        j.rec.emit("batch_dispatch", j.tick(), request=0, attempt=0,
+                   device="d0", batch=1, size=1, kind="primary")
+        j.finish(0)
+        assert any("request 0 dispatched twice in attempt 0" in p
+                   for p in j.problems())
+
+
 # -- windowed SLO monitor --------------------------------------------------
 
 
