@@ -2,14 +2,22 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.baselines import MinkowskiEngineLike, SpConvLike
+from repro.baselines.minkowski import minkowski_config
 from repro.core.dataflow import (
+    HALF_CHUNK,
     MovementConfig,
+    _cast,
+    _round_half,
     execute_fetch_on_demand,
     execute_gather_matmul_scatter,
     gather_record,
     scatter_record,
 )
+from repro.core.engine import BaseEngine, EngineConfig, ExecutionContext
 from repro.core.grouping import make_plan
 from repro.core.reference import dense_conv3d_reference, sparse_conv_reference
 from repro.gpu.device import RTX_2080TI
@@ -17,6 +25,9 @@ from repro.gpu.memory import DType
 from repro.gpu.timeline import Profile
 from repro.mapping.downsample import downsample_coords
 from repro.mapping.kmap import CoordIndex, build_kmap
+from repro.models import MODEL_ZOO
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.robust.faults import FaultInjector, inject_faults
 from repro.robust.tolerance import CLOSE_FP32, EXACT_FP32, HALF
 
 
@@ -218,3 +229,195 @@ class TestMovementCostLadder:
         g_w = gather_record(kmap, 64, cfg_w, RTX_2080TI, True)
         g_l = gather_record(kmap, 64, cfg_l, RTX_2080TI, True)
         assert g_l.bytes_moved < g_w.bytes_moved
+
+
+def half_round_trip(a):
+    """The oracle: NumPy's own float16 round trip."""
+    with np.errstate(all="ignore"):  # NumPy warns when a cast overflows
+        return a.astype(np.float16).astype(np.float32)
+
+
+def bits(u):
+    return np.asarray(u, dtype=np.uint32).view(np.float32)
+
+
+def assert_rounds_like_numpy(a):
+    """``_round_half(a)`` matches the oracle bit for bit, except NaN
+    payloads, which may differ between NumPy builds and CPUs: NaN lanes
+    must only agree on being NaN and on the sign."""
+    want = half_round_trip(a)
+    got = _round_half(a)
+    assert got.dtype == np.float32 and got.shape == a.shape
+    assert not np.shares_memory(got, a)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    np.testing.assert_array_equal(np.signbit(got[nan]), np.signbit(want[nan]))
+    g, w = got[~nan].view(np.uint32), want[~nan].view(np.uint32)
+    bad = np.flatnonzero(g != w)
+    assert bad.size == 0, [
+        (hex(int(x)), hex(int(y)), hex(int(z)))
+        for x, y, z in zip(a[~nan].view(np.uint32)[bad[:5]], g[bad[:5]], w[bad[:5]])
+    ]
+
+
+def half_values():
+    """Every fp16 bit pattern, as float32."""
+    return np.arange(1 << 16, dtype=np.uint32).astype(np.uint16).view(
+        np.float16).astype(np.float32)
+
+
+class TestRoundHalf:
+    """``_round_half`` is NumPy's float16 round trip, bit for bit."""
+
+    def test_every_half_value_and_its_float32_neighbours(self):
+        u = half_values().view(np.uint32)
+        for v in (u - np.uint32(1), u, u + np.uint32(1)):
+            assert_rounds_like_numpy(bits(v))
+
+    def test_every_tie_between_consecutive_half_values(self):
+        h = half_values()
+        pos = np.unique(h[np.isfinite(h) & (h >= 0)]).astype(np.float64)
+        upper = np.append(pos[1:], 65536.0)  # 65504's upper tie is 65520
+        mid = (pos + upper) / 2
+        ties = mid.astype(np.float32)
+        np.testing.assert_array_equal(ties.astype(np.float64), mid)  # exact
+        assert_rounds_like_numpy(np.concatenate([ties, -ties]))
+        # ties go to the even neighbour
+        got = _round_half(ties).view(np.uint32)
+        even = np.where(
+            (pos.astype(np.float16).view(np.uint16) & 1) == 0, pos, upper
+        ).astype(np.float32)
+        even[-1] = np.inf
+        np.testing.assert_array_equal(got, even.view(np.uint32))
+
+    @pytest.mark.parametrize("edge", [0x38800000, 0x33000000],
+                             ids=["2**-14", "2**-25"])
+    def test_subnormal_boundaries(self, edge):
+        u = np.arange(edge - 4, edge + 5, dtype=np.uint32)
+        assert_rounds_like_numpy(np.concatenate([bits(u), -bits(u)]))
+
+    def test_subnormal_boundary_values(self):
+        got = _round_half(np.array(
+            [2.0**-25, np.nextafter(np.float32(2.0**-25), np.float32(1)),
+             3 * 2.0**-25, np.nextafter(np.float32(2.0**-14), np.float32(0))],
+            dtype=np.float32,
+        ))
+        np.testing.assert_array_equal(
+            got, np.array([0.0, 2.0**-24, 2.0**-23, 2.0**-14], np.float32)
+        )
+
+    def test_overflow_boundary(self):
+        a = np.array([65504.0, 65519.996, 65520.0, -65520.0], np.float32)
+        assert a[1] == np.nextafter(np.float32(65520), np.float32(0))
+        assert_rounds_like_numpy(a)
+        np.testing.assert_array_equal(
+            _round_half(a), np.array([65504, 65504, np.inf, -np.inf], np.float32)
+        )
+
+    def test_zeros_infinities_and_low_payload_nans(self):
+        u = np.array(
+            [0x00000000, 0x80000000, 0x7F800000, 0xFF800000,
+             0x7F800001, 0x7F801FFF, 0xFF800001, 0xFF801000,
+             0x7FC00000, 0xFFFFFFFF],
+            dtype=np.uint32,
+        )
+        a = bits(u)
+        assert_rounds_like_numpy(a)
+        got = _round_half(a)
+        assert np.isnan(got[4:]).all()  # truncating the payload kept NaN
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(a))
+
+    def test_strided_sweep_of_float32_bit_patterns(self):
+        u = np.arange(0, 1 << 32, 4093, dtype=np.uint64).astype(np.uint32)
+        assert u.size > 16 * HALF_CHUNK  # spans many chunks and a partial one
+        assert_rounds_like_numpy(bits(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, (1 << 32) - 1), max_size=64))
+    def test_any_bit_patterns(self, patterns):
+        assert_rounds_like_numpy(bits(np.array(patterns, dtype=np.uint64)))
+
+    @pytest.mark.parametrize("make", [
+        lambda a: a[::3],
+        lambda a: a.reshape(40, 25).T,
+        lambda a: a.reshape(10, 10, 10)[:, ::2, 1:],
+        lambda a: np.asarray(a[7]),
+        lambda a: a[:0],
+        lambda a: a[:0].reshape(0, 4),
+        lambda a: a[:0].reshape(3, 0, 2),
+    ], ids=["strided", "transposed", "sliced-3d", "0-d", "empty", "empty-2d",
+            "empty-3d"])
+    def test_layouts_keep_their_shape(self, make):
+        rng = np.random.default_rng(0)
+        a = make((rng.standard_normal(1000) * 100).astype(np.float32))
+        assert_rounds_like_numpy(a)
+
+
+class TestCast:
+    def test_float64_features_round_once(self):
+        x = np.array([1 + 2.0**-11 + 2.0**-40])
+        got = _cast(x, DType.FP16)
+        assert got.dtype == np.float32
+        assert got[0] == np.float32(1.0009766)  # 1 + 2**-10
+        # via float32 it would round twice: to 1 + 2**-11, then to even
+        assert _round_half(x.astype(np.float32))[0] == 1.0
+
+    def test_float16_features_are_exact(self):
+        h = half_values().astype(np.float16)
+        got = _cast(h, DType.FP16)
+        np.testing.assert_array_equal(got, h.astype(np.float32))
+
+    @pytest.mark.parametrize("dtype", [DType.FP16, DType.INT8])
+    def test_reduced_precision_never_aliases(self, dtype):
+        w = np.linspace(-1, 1, 27 * 12, dtype=np.float32).reshape(27, 3, 4)
+        assert not np.shares_memory(_cast(w, dtype), w)
+
+    def test_fp32_copies_only_under_an_armed_injector(self):
+        w = np.ones((27, 3, 4), dtype=np.float32)
+        assert np.shares_memory(_cast(w, DType.FP32), w)  # zero-copy
+        with inject_faults(FaultInjector(seed=0)):
+            assert not np.shares_memory(_cast(w, DType.FP32), w)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (0, 3, 4)])
+    @pytest.mark.parametrize("dtype", list(DType))
+    def test_empty_inputs(self, dtype, shape):
+        got = _cast(np.empty(shape, dtype=np.float32), dtype)
+        assert got.dtype == np.float32 and got.shape == shape
+
+
+ZOO = {e.key: e for e in MODEL_ZOO}
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: BaseEngine(config=EngineConfig.torchsparse(dtype=DType.FP16)),
+    lambda: SpConvLike(fp16=True),
+    # below its map-size threshold: the fetch-on-demand dataflow
+    lambda: MinkowskiEngineLike(config=minkowski_config(dtype=DType.FP16)),
+], ids=["torchsparse", "spconv", "minkowski-fetch-on-demand"])
+@pytest.mark.parametrize("key", ["minkunet_0.5x_kitti", "centerpoint_1f_waymo"])
+def test_fp16_engines_match_numpy_round_trip(key, engine, monkeypatch):
+    """Whole forwards give the same bits with ``_cast`` as shipped and
+    with FP16 cast by NumPy's float16 round trip, on any platform."""
+    entry = ZOO[key]
+    model = entry.make_model()
+    x = entry.make_dataset().sample_tensor(seed=0, scale=0.03)
+
+    def forward():
+        with use_registry(MetricsRegistry()):
+            out = model(x, ExecutionContext(engine=engine()))
+        heads = out if isinstance(out, dict) else {"out": out}
+        return {k: getattr(v, "feats", v) for k, v in heads.items()}
+
+    shipped = forward()
+    cast = _cast
+
+    def numpy_round_trip(feats, dtype):
+        if dtype is DType.FP16:
+            return feats.astype(np.float16).astype(np.float32)
+        return cast(feats, dtype)
+
+    monkeypatch.setattr("repro.core.dataflow._cast", numpy_round_trip)
+    oracle = forward()
+    assert shipped.keys() == oracle.keys()
+    for k in shipped:
+        assert np.array_equal(shipped[k], oracle[k]), k
