@@ -1,13 +1,26 @@
 """Tests for the nn module library."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import nn
-from repro.core.engine import BaselineEngine, ExecutionContext
+from repro.core.engine import (
+    BaseEngine,
+    BaselineEngine,
+    EngineConfig,
+    ExecutionContext,
+)
 from repro.core.sparse_tensor import SparseTensor
+from repro.gpu.memory import DType
+from repro.models import MODEL_ZOO
 from repro.nn.dense import conv2d, im2col, relu2d, sigmoid
 from repro.nn.modules import concat_skip
+from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.robust.tolerance import EXACT_FP32
 
 
 def make_tensor(n=50, c=6, seed=0):
@@ -19,8 +32,8 @@ def make_tensor(n=50, c=6, seed=0):
     return SparseTensor(coords, rng.standard_normal((xyz.shape[0], c)).astype(np.float32))
 
 
-def ctx():
-    return ExecutionContext(engine=BaselineEngine())
+def ctx(numerics=True):
+    return ExecutionContext(engine=BaselineEngine(), numerics=numerics)
 
 
 class TestModuleNaming:
@@ -162,8 +175,203 @@ class TestDenseOps:
         with pytest.raises(ValueError):
             conv2d(np.zeros((4, 4, 2)), np.zeros((3, 3, 3, 4)), ctx())
 
+    @pytest.mark.parametrize("numerics", [True, False])
+    @pytest.mark.parametrize("shape, kw", [
+        ((4, 4, 2), {"stride": 0}),
+        ((4, 4, 2), {"stride": -1}),
+        ((4, 4, 2), {"pad": -1}),
+        ((1, 4, 2), {"pad": 0}),               # h_out = -1
+        ((4, 1, 2), {"pad": 0}),               # w_out = -1
+        ((4, 0, 2), {"pad": 0, "stride": 2}),  # w_out = -3 // 2 + 1 = -1
+    ])
+    def test_conv2d_rejects_bad_geometry(self, numerics, shape, kw):
+        """Computed and priced forwards refuse the same geometry with
+        the same error, naming the shapes."""
+        x = np.ones(shape, dtype=np.float32)
+        w = np.ones((3, 3, 2, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match=r"weight \(3, 3, 2, 4\)"):
+            conv2d(x, w, ctx(numerics), **kw)
+
+    @pytest.mark.parametrize("numerics", [True, False])
+    def test_conv2d_empty_output_in_both_contexts(self, numerics):
+        """A padded map one short of the kernel has no output rows."""
+        y = conv2d(np.ones((2, 4, 2), dtype=np.float32),
+                   np.ones((3, 3, 2, 4), dtype=np.float32), ctx(numerics), pad=0)
+        assert y.shape == (0, 2, 4) and y.dtype == np.float32
+
     def test_relu2d_and_sigmoid(self):
         x = np.array([[-1.0, 1.0]])
         assert (relu2d(x[None], ctx()) >= 0).all()
         s = sigmoid(np.array([0.0]))
         assert s[0] == pytest.approx(0.5)
+
+
+def dense_conv2d_oracle(x, weight, stride=1, pad=None):
+    """Every output pixel's patch, one pixel at a time, times the
+    weights: the dense im2col product, dead pixels included."""
+    k, _, c_in, c_out = weight.shape
+    if pad is None:
+        pad = k // 2
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    h_out = (xp.shape[0] - k) // stride + 1
+    w_out = (xp.shape[1] - k) // stride + 1
+    cols = np.array([
+        xp[i * stride:i * stride + k, j * stride:j * stride + k].ravel()
+        for i in range(h_out) for j in range(w_out)
+    ]).reshape(h_out * w_out, k * k * c_in)
+    out = cols @ weight.reshape(k * k * c_in, c_out)
+    return out.reshape(h_out, w_out, c_out).astype(np.float32)
+
+
+def window_has_nonzero(x, k, stride, pad):
+    """Per output pixel: does its padded window hold a pixel != 0?"""
+    xp = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    h_out = (xp.shape[0] - k) // stride + 1
+    w_out = (xp.shape[1] - k) // stride + 1
+    return np.array([
+        [(xp[i * stride:i * stride + k, j * stride:j * stride + k] != 0).any()
+         for j in range(w_out)]
+        for i in range(h_out)
+    ], dtype=bool).reshape(h_out, w_out)
+
+
+@st.composite
+def dense_conv_cases(draw):
+    k = draw(st.sampled_from([1, 3, 5]))
+    stride = draw(st.sampled_from([1, 2]))
+    pad = draw(st.integers(0, k // 2 + 1))
+    h = draw(st.integers(max(1, k - 2 * pad), 12))
+    w = draw(st.integers(max(1, k - 2 * pad), 12))
+    c_in, c_out = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    occupancy = draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
+    specials = draw(st.lists(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]),
+                             max_size=4))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((h, w, c_in))
+    x[rng.random((h, w)) >= occupancy] = 0.0
+    for v in specials:
+        i, j = rng.integers(h), rng.integers(w)
+        if v == 0:  # -0.0 fills a whole pixel: it must stay dead
+            x[i, j] = v
+        else:
+            x[i, j, rng.integers(c_in)] = v
+    # scaled so every output is O(1): the subset and full GEMMs then
+    # differ by far less than EXACT_FP32's atol
+    weight = rng.standard_normal((k, k, c_in, c_out)) / (k * k * c_in)
+    return x.astype(dtype), weight.astype(np.float32), stride, pad
+
+
+class TestDenseLiveRows:
+    """The host multiplies only output pixels whose window is non-zero."""
+
+    @given(dense_conv_cases())
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_matches_dense_oracle(self, case):
+        x, w, stride, pad = case
+        got = conv2d(x, w, ctx(), stride=stride, pad=pad)
+        want = dense_conv2d_oracle(x, w, stride, pad)
+        assert got.dtype == np.float32 and got.shape == want.shape
+        live = window_has_nonzero(x, w.shape[0], stride, pad)
+        # dead rows are exactly +0.0; every row is the dense product
+        assert not got[~live].view(np.uint32).any()
+        EXACT_FP32.assert_close(got, want)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_weight_poisons_zero_map(self, bad):
+        """IEEE semantics: 0 * inf is NaN, so every row is live."""
+        x = np.zeros((4, 4, 2), dtype=np.float32)
+        w = np.ones((3, 3, 2, 1), dtype=np.float32)
+        w[0, 0, 1, 0] = bad
+        got = conv2d(x, w, ctx())
+        assert np.isnan(got).sum() == 16
+        assert np.array_equal(got, dense_conv2d_oracle(x, w), equal_nan=True)
+
+    def test_priced_forward_returns_zeros(self):
+        x = np.ones((5, 6, 2), dtype=np.float32)
+        got = conv2d(x, np.ones((3, 3, 2, 4), dtype=np.float32), ctx(False))
+        assert got.shape == (5, 6, 4) and got.dtype == np.float32
+        assert not got.any()
+
+    def test_modeled_cost_bills_the_full_map(self):
+        """A mostly empty map costs what a full one does on the modeled
+        clock: a GPU dense head computes every pixel."""
+        rng = np.random.default_rng(0)
+        w = rng.standard_normal((3, 3, 4, 8)).astype(np.float32)
+        full = rng.standard_normal((20, 30, 4)).astype(np.float32)
+        sparse = np.zeros_like(full)
+        sparse[3, 4] = full[3, 4]
+        priced = []
+        for x in (full, sparse):
+            c = ctx()
+            conv2d(x, w, c)
+            priced.append(c.profile.records)
+        assert priced[0] == priced[1]
+
+    def test_im2col_live_rows_are_the_dense_rows(self):
+        rng = np.random.default_rng(2)
+        x = rng.standard_normal((7, 9, 3)).astype(np.float32)
+        live = rng.random((4, 5)) < 0.4
+        cols = im2col(x, 3, stride=2, pad=1)
+        assert np.array_equal(im2col(x, 3, stride=2, pad=1, live=live),
+                              cols[live.ravel()])
+
+    def test_conv2d_peak_memory_follows_live_rows(self):
+        """A 150x143x128 BEV map with ~10% clustered occupancy through a
+        3x3x128x128 conv: the dense im2col alone is ~99 MiB."""
+        rng = np.random.default_rng(0)
+        blocks = rng.random((15, 15)) < 0.1
+        occ = np.kron(blocks, np.ones((10, 10), dtype=bool))[:150, :143]
+        x = np.zeros((150, 143, 128), dtype=np.float32)
+        x[occ] = rng.standard_normal((int(occ.sum()), 128))
+        w = rng.standard_normal((3, 3, 128, 128)).astype(np.float32)
+        c = ctx()
+        outer = tracemalloc.is_tracing()
+        if not outer:
+            tracemalloc.start()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        try:
+            y = conv2d(x, w, c)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not outer:
+                tracemalloc.stop()
+        assert y.shape == (150, 143, 128)
+        assert 0.05 < occ.mean() < 0.15
+        assert peak - base < 60 << 20
+
+
+WAYMO_HEADS = {e.key: e for e in MODEL_ZOO
+               if e.key in ("centerpoint_1f_waymo", "centerpoint_3f_waymo")}
+
+
+@pytest.mark.parametrize("engine", [
+    lambda: BaseEngine(config=EngineConfig.torchsparse(dtype=DType.FP16)),
+    BaselineEngine,
+], ids=["torchsparse-fp16", "baseline"])
+@pytest.mark.parametrize("key", sorted(WAYMO_HEADS))
+def test_centerpoint_head_matches_dense_oracle(key, engine, monkeypatch):
+    """Whole detector forwards: heatmap and regression agree with a head
+    whose every conv2d is the dense oracle."""
+    entry = WAYMO_HEADS[key]
+    model = entry.make_model()
+    x = entry.make_dataset().sample_tensor(seed=0, scale=0.02)
+
+    def forward():
+        with use_registry(MetricsRegistry()):
+            return model(x, ExecutionContext(engine=engine()))
+
+    shipped = forward()
+    monkeypatch.setattr(
+        "repro.models.centerpoint.conv2d",
+        lambda x, w, ctx, stride=1, pad=None, name="": dense_conv2d_oracle(
+            x, w, stride, pad),
+    )
+    oracle = forward()
+    for head in ("heatmap", "regression"):
+        assert shipped[head].dtype == np.float32
+        assert shipped[head].shape == oracle[head].shape
+        EXACT_FP32.assert_close(shipped[head], oracle[head], err_msg=head)
