@@ -14,6 +14,14 @@ to give the same answers, so it holds only the occupied slots: the
 sorted raveled slot indices and their values (Minuet's sorted-coordinate
 lookup), O(N) in memory however large the box, probed with a binary
 search.
+
+Kernel-map search asks for the same probe set at many offsets, and
+inside the box the raveled key is linear in the coordinate, so
+:meth:`GridTable.lookup` takes ``shifts``: it ravels the probes once and
+searches ``base + shift·strides`` per shift.  A scalar test of the probe
+set's per-axis min/max plus the shift proves the whole shifted set is
+inside the box; only when it fails are that shift's hits masked row by
+row, since a key outside the box aliases a real slot.
 """
 
 from __future__ import annotations
@@ -130,24 +138,60 @@ class GridTable:
         )
         reg.gauge("table.load", backend="grid").set(len(self) / self.volume)
 
-    def lookup(self, coords: np.ndarray) -> np.ndarray:
-        """Value per coordinate row, ``-1`` where absent or out of box."""
+    def lookup(
+        self, coords: np.ndarray, shifts: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Value per coordinate row, ``-1`` where absent or out of box.
+
+        With ``shifts`` (``(S, 3)`` spatial offsets) the result is
+        ``(S, N)``: row ``i`` answers the probes ``coords + (0, shifts[i])``.
+        Inside the box the raveled key is linear in the coordinate, so
+        ``coords`` is raveled once and each shift adds one scalar key
+        before its binary search.  A shifted key that leaves the box
+        would alias a real slot, so when the probe set's per-axis
+        min/max plus the shift is not inside the box, that shift's hits
+        are masked by the per-row box test.  Plain ``lookup(coords)`` is
+        the zero-shift case and returns ``(N,)``.
+
+        Every probe is one modeled access: a call adds ``S x N`` to
+        ``stats.query_accesses`` and the grid query counter.
+        """
         coords = np.asarray(coords, dtype=np.int64)
-        if coords.shape[0] == 0:
-            return np.empty(0, dtype=np.int64)
-        rel = coords - self.origin
-        inside = ((rel >= 0) & (rel < self.shape)).all(axis=1)
-        out = np.full(coords.shape[0], _EMPTY, dtype=np.int64)
-        if inside.any() and len(self):
-            idx = ravel_coords(coords[inside], self.origin, self.shape)
-            pos = np.searchsorted(self._keys, idx)
-            np.minimum(pos, self._keys.shape[0] - 1, out=pos)
-            out[inside] = np.where(self._keys[pos] == idx, self._vals[pos], _EMPTY)
-        self.stats.query_accesses += coords.shape[0]
+        single = shifts is None
+        shifts = np.asarray(
+            [(0, 0, 0)] if single else shifts, dtype=np.int64
+        ).reshape(-1, 3)
+        n = coords.shape[0]
+        out = np.full((shifts.shape[0], n), _EMPTY, dtype=np.int64)
+        if n == 0 or shifts.shape[0] == 0:
+            return out[0] if single else out
+        if len(self):
+            rel = coords - self.origin
+            lo, hi = rel.min(axis=0), rel.max(axis=0)
+            strides = np.append(np.cumprod(self.shape[:0:-1])[::-1], 1)
+            base = rel @ strides
+            keys, last = self._keys, self._keys.shape[0] - 1
+            for i, d in enumerate(shifts):
+                idx = base + int(d @ strides[1:])
+                pos = np.searchsorted(keys, idx)
+                np.minimum(pos, last, out=pos)
+                hit = keys[pos] == idx
+                if (
+                    lo[0] < 0
+                    or hi[0] >= self.shape[0]
+                    or (lo[1:] + d < 0).any()
+                    or (hi[1:] + d >= self.shape[1:]).any()
+                ):
+                    moved = rel.copy()
+                    moved[:, 1:] += d
+                    hit &= ((moved >= 0) & (moved < self.shape)).all(axis=1)
+                out[i] = np.where(hit, self._vals[pos], _EMPTY)
+        accesses = n * shifts.shape[0]
+        self.stats.query_accesses += accesses
         get_registry().counter("table.accesses", backend="grid", op="query").inc(
-            coords.shape[0]
+            accesses
         )
-        return out
+        return out[0] if single else out
 
     def contains(self, coords: np.ndarray) -> np.ndarray:
         """Boolean membership per coordinate row."""

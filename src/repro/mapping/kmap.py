@@ -3,7 +3,12 @@
 A :class:`KernelMap` stores, for every kernel offset ``delta``, the
 matched ``(input index, output index)`` pairs.  Map search iterates over
 output coordinates, probes ``s * q + delta`` in the input coordinate
-table, and records hits — here vectorized over all outputs per offset.
+table, and records hits — here vectorized over all outputs and offsets:
+the outputs are scaled once per layer and every probed offset is a
+*shift* of that one probe set (``CoordIndex.lookup(scaled, shifts)``).
+On the grid backend a shift is one scalar key add plus a binary search
+(Spira's integer-coordinate search over Minuet's sorted keys); the hash
+backend packs one shifted probe per offset, its modeled cost.
 
 Two search refinements from the paper are implemented:
 
@@ -29,7 +34,7 @@ from repro.core.kernel import (
     opposite_offset_index,
     to_tuple,
 )
-from repro.hashmap.coords import pack_coords
+from repro.hashmap.coords import COORD_MAX, COORD_MIN, pack_coords
 from repro.hashmap.grid_table import GridTable
 from repro.hashmap.hash_table import HashTable
 
@@ -65,13 +70,29 @@ class CoordIndex:
             )
         raise ValueError(f"unknown coordinate table backend {backend!r}")
 
-    def lookup(self, coords: np.ndarray) -> np.ndarray:
-        """Row index per coordinate, ``-1`` where absent."""
-        if isinstance(self.table, HashTable):
-            # probes beyond the packable range cannot be present
-            c = np.asarray(coords, dtype=np.int64)
+    def lookup(
+        self, coords: np.ndarray, shifts: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Row index per coordinate, ``-1`` where absent.
+
+        With ``shifts`` (``(S, 3)`` spatial offsets) the result is
+        ``(S, N)``, one row per shifted probe set.  The grid ravels
+        ``coords`` once and adds a scalar key per shift; the hash
+        backend packs and probes one shifted copy per shift, because
+        that probe emulation is its modeled cost.
+        """
+        if not isinstance(self.table, HashTable):
+            return self.table.lookup(coords, shifts)
+        # probes beyond the packable range cannot be present
+        c = np.asarray(coords, dtype=np.int64)
+        if shifts is None:
             return self.table.lookup(pack_coords_clipped(c))
-        return self.table.lookup(coords)
+        out = np.empty((len(shifts), c.shape[0]), dtype=np.int64)
+        probe = c.copy()
+        for i, d in enumerate(shifts):
+            np.add(c[:, 1:], d, out=probe[:, 1:])
+            out[i] = self.table.lookup(pack_coords_clipped(probe))
+        return out
 
     @property
     def stats(self):
@@ -85,8 +106,6 @@ def pack_coords_clipped(coords: np.ndarray) -> np.ndarray:
     range; those coordinates are by construction not in the table, so we
     redirect them to a reserved never-inserted key instead of raising.
     """
-    from repro.hashmap.coords import COORD_MAX, COORD_MIN
-
     c = np.asarray(coords, dtype=np.int64)
     bad = (
         (c[:, 1:] < COORD_MIN).any(axis=1)
@@ -220,7 +239,12 @@ def build_kmap(
     stride=1,
     use_symmetry: bool = False,
 ) -> KernelMap:
-    """Search kernel maps (Algorithm 1), vectorized per offset.
+    """Search kernel maps (Algorithm 1), one shifted lookup per layer.
+
+    The probed offsets are fixed up front and searched in one
+    ``index.lookup(s*q, shifts=offsets[probed])``; each offset's pairs
+    are then the hits of its row, in output order.  Every probe is one
+    modeled query, so ``queries_issued`` is ``N_out`` per probed offset.
 
     Args:
         in_coords: ``(N_in, 4)`` input coordinates (only sizes used here;
@@ -241,38 +265,38 @@ def build_kmap(
     vol = offsets.shape[0]
     n_in = int(np.asarray(in_coords).shape[0])
     n_out = int(np.asarray(out_coords).shape[0])
-    out64 = np.asarray(out_coords, dtype=np.int64)
-
-    ins: list = [None] * vol
-    outs: list = [None] * vol
-    queries = 0
-    mirrored = 0
 
     symmetric_ok = use_symmetry and stride == 1 and is_all_odd(kernel_size)
     center = center_offset_index(kernel_size)
 
-    for n in range(vol):
-        if ins[n] is not None:
-            continue
-        if symmetric_ok and n == center:
-            # stride-1 center: every point maps to itself, no probing
-            ins[n] = np.arange(n_out, dtype=np.int64)
-            outs[n] = np.arange(n_out, dtype=np.int64)
-            continue
-        probe = out64.copy()
-        probe[:, 1:] = probe[:, 1:] * s_arr + offsets[n]
-        hit_vals = index.lookup(probe)
-        queries += n_out
-        hits = hit_vals >= 0
-        j = hit_vals[hits].astype(np.int64)
-        k = np.nonzero(hits)[0].astype(np.int64)
+    ins: list = [None] * vol
+    outs: list = [None] * vol
+    mirrored = 0
+
+    # offsets to probe: all of them, or under symmetry neither the
+    # center (identity) nor an offset whose opposite comes earlier
+    probed = [
+        n
+        for n in range(vol)
+        if not symmetric_ok
+        or (n != center and opposite_offset_index(n, kernel_size) > n)
+    ]
+    if symmetric_ok:
+        # stride-1 center: every point maps to itself, no probing
+        ins[center] = np.arange(n_out, dtype=np.int64)
+        outs[center] = np.arange(n_out, dtype=np.int64)
+    # scale once per layer: every probed offset is a shift of these probes
+    scaled = np.asarray(out_coords, dtype=np.int64) * np.append(1, s_arr)
+    hit_vals = index.lookup(scaled, shifts=offsets[probed])
+    for n, vals in zip(probed, hit_vals):
+        hits = vals >= 0
+        j, k = vals[hits], np.flatnonzero(hits)
         ins[n], outs[n] = j, k
         if symmetric_ok:
+            # (q, p, W_{-delta}) is a valid entry iff (p, q, W_delta) is
             opp = opposite_offset_index(n, kernel_size)
-            if opp != n and ins[opp] is None:
-                # (q, p, W_{-delta}) is a valid entry iff (p, q, W_delta) is
-                ins[opp], outs[opp] = k.copy(), j.copy()
-                mirrored += len(k)
+            ins[opp], outs[opp] = k.copy(), j.copy()
+            mirrored += len(k)
 
     kmap = KernelMap(
         kernel_size=kernel_size,
@@ -281,7 +305,7 @@ def build_kmap(
         n_out=n_out,
         in_indices=ins,
         out_indices=outs,
-        queries_issued=queries,
+        queries_issued=n_out * len(probed),
         mirrored_entries=mirrored,
     )
     return kmap
