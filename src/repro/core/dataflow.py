@@ -380,7 +380,9 @@ def execute_gather_matmul_scatter(
     if skip_center and center is not None and len(kmap.in_indices[center]):
         ci, co = kmap.in_indices[center], kmap.out_indices[center]
         if numerics:
-            partial = (x[ci] @ w[center]).astype(np.float32, copy=False)
+            partial = (np.take(x, ci, axis=0) @ w[center]).astype(
+                np.float32, copy=False
+            )
             if integrity is not None:
                 src = integrity.source_checksum(x, ci)
                 integrity.check_matmul(
@@ -444,7 +446,7 @@ def execute_gather_matmul_scatter(
                 # path is numerically identical to bmm and much faster here
                 for n in group.members:
                     idx = kmap.in_indices[n]
-                    gathered = x[idx]
+                    gathered = np.take(x, idx, axis=0)
                     # fault-injection site: flips in the staged gather rows
                     maybe_bitflip_features(gathered, site=f"gather.o{n}")
                     if integrity is not None:
@@ -564,7 +566,9 @@ def execute_fetch_on_demand(
             if not len(idx):
                 continue
             if numerics:
-                partial = (x[idx] @ w[n]).astype(np.float32, copy=False)
+                partial = (np.take(x, idx, axis=0) @ w[n]).astype(
+                    np.float32, copy=False
+                )
                 if integrity is not None:
                     src = integrity.source_checksum(x, idx)
                     integrity.check_matmul(

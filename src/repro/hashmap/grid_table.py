@@ -18,8 +18,12 @@ search.
 Kernel-map search asks for the same probe set at many offsets, and
 inside the box the raveled key is linear in the coordinate, so
 :meth:`GridTable.lookup` takes ``shifts``: it ravels the probes once and
-searches ``base + shift·strides`` per shift.  A scalar test of the probe
-set's per-axis min/max plus the shift proves the whole shifted set is
+searches ``base + shift·strides`` per shift.  z has stride 1 in the
+raveled key and the keys are unique integers, so the insertion point of
+``k + 1`` is that of ``k`` plus ``[k in keys]``: a shift one z step past
+the previous one reuses that search instead of running its own, and a
+3-wide kernel needs a third of the searches.  A scalar test of the probe
+set's per-axis min/max plus each shift proves the whole shifted set is
 inside the box; only when it fails are that shift's hits masked row by
 row, since a key outside the box aliases a real slot.
 """
@@ -147,7 +151,9 @@ class GridTable:
         ``(S, N)``: row ``i`` answers the probes ``coords + (0, shifts[i])``.
         Inside the box the raveled key is linear in the coordinate, so
         ``coords`` is raveled once and each shift adds one scalar key
-        before its binary search.  A shifted key that leaves the box
+        before its binary search; a shift one z step past the previous
+        one steps the previous search's positions by its hits instead
+        of searching again.  A shifted key that leaves the box
         would alias a real slot, so when the probe set's per-axis
         min/max plus the shift is not inside the box, that shift's hits
         are masked by the per-row box test.  Plain ``lookup(coords)`` is
@@ -170,22 +176,35 @@ class GridTable:
             lo, hi = rel.min(axis=0), rel.max(axis=0)
             strides = np.append(np.cumprod(self.shape[:0:-1])[::-1], 1)
             base = rel @ strides
+            shift_keys = shifts @ strides[1:]
+            # one step up in z is +1 in the key (z's stride is 1)
+            z_step = np.zeros(shifts.shape[0], dtype=bool)
+            z_step[1:] = (np.diff(shifts, axis=0) == (0, 0, 1)).all(axis=1)
+            leaves_box = (
+                (lo[0] < 0)
+                | (hi[0] >= self.shape[0])
+                | (lo[1:] + shifts < 0).any(axis=1)
+                | (hi[1:] + shifts >= self.shape[1:]).any(axis=1)
+            )
             keys, last = self._keys, self._keys.shape[0] - 1
             for i, d in enumerate(shifts):
-                idx = base + int(d @ strides[1:])
-                pos = np.searchsorted(keys, idx)
-                np.minimum(pos, last, out=pos)
-                hit = keys[pos] == idx
-                if (
-                    lo[0] < 0
-                    or hi[0] >= self.shape[0]
-                    or (lo[1:] + d < 0).any()
-                    or (hi[1:] + d >= self.shape[1:]).any()
-                ):
+                if z_step[i]:
+                    # keys are unique integers, so the insertion point of
+                    # k + 1 is that of k plus [k in keys]: the raw hit,
+                    # never the box-masked one
+                    idx += 1
+                    pos += hit
+                else:
+                    idx = base + shift_keys[i]
+                    pos = np.searchsorted(keys, idx)
+                at = np.minimum(pos, last)
+                hit = keys[at] == idx
+                found = hit
+                if leaves_box[i]:
                     moved = rel.copy()
                     moved[:, 1:] += d
-                    hit &= ((moved >= 0) & (moved < self.shape)).all(axis=1)
-                out[i] = np.where(hit, self._vals[pos], _EMPTY)
+                    found = hit & ((moved >= 0) & (moved < self.shape)).all(axis=1)
+                out[i] = np.where(found, self._vals[at], _EMPTY)
         accesses = n * shifts.shape[0]
         self.stats.query_accesses += accesses
         get_registry().counter("table.accesses", backend="grid", op="query").inc(

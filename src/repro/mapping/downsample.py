@@ -17,6 +17,13 @@ TorchSparse fuses stages 1-4 into one kernel holding intermediates in
 registers.  Numerically both paths are identical here; they differ in
 the :class:`DownsampleCost` the engine prices (intermediate traffic
 eliminated, kernel launches 5 -> 2).
+
+The host never materializes the ``N x K^3`` candidate stream.  A
+candidate ``p - delta`` passes the modular check iff ``delta = p
+(mod s)`` on every axis, so the host groups the points by residue class
+once and emits each offset's survivors as its class's rows, shifted.
+The cost still bills the unfused pipeline's full candidate stream,
+because that is what the modeled GPU kernels read and write.
 """
 
 from __future__ import annotations
@@ -108,24 +115,33 @@ def downsample_coords(
     offsets = kernel_offsets(kernel_size).astype(np.int64)
     vol = offsets.shape[0]
 
-    # stage 1: broadcast_add — all candidates u = p - delta
-    cand = c[:, None, 1:] - offsets[None, :, :]  # (N, K^3, 3)
-    batch = np.broadcast_to(c[:, None, 0], cand.shape[:2])
+    # stages 1-3 per residue class: p - delta passes the modular check
+    # iff delta = p (mod s) on every axis, and then (p - delta) / s is
+    # exactly p // s - delta // s.  So the points are grouped by class
+    # once, and each offset's candidates are its class's rows shifted.
+    radix = np.array([s[1] * s[2], s[2], 1], dtype=np.int64)
+    point_class = np.mod(c[:, 1:], s) @ radix
+    order = np.argsort(point_class, kind="stable")
+    counts = np.bincount(point_class, minlength=int(np.prod(s)))
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    grouped = c[order]
+    grouped[:, 1:] //= s
+    offset_class = np.mod(offsets, s) @ radix
+    shift = np.zeros((vol, 4), dtype=np.int64)
+    shift[:, 1:] = offsets // s
 
-    # stage 2: modular check
-    mod_ok = (cand % s == 0).all(axis=2)
+    kept = np.empty((int(counts[offset_class].sum()), 4), dtype=np.int64)
+    at = 0
+    for k, cls in enumerate(offset_class):
+        rows = grouped[starts[cls] : starts[cls + 1]]
+        np.subtract(rows, shift[k], out=kept[at : at + rows.shape[0]])
+        at += rows.shape[0]
 
-    # stage 3: boundary check
+    # boundary check: u = s*q, so 0 <= u < s*b iff 0 <= q < b
     if boundary is not None:
         b = np.asarray(boundary, dtype=np.int64)
-        bound_ok = ((cand >= 0) & (cand < s * b)).all(axis=2)
-    else:
-        bound_ok = np.ones_like(mod_ok)
-    keep = mod_ok & bound_ok
-
-    kept_xyz = cand[keep] // s
-    kept_b = batch[keep]
-    kept = np.concatenate([kept_b[:, None], kept_xyz], axis=1)
+        q = kept[:, 1:]
+        kept = kept[((q >= 0) & (q < b)).all(axis=1)]
     n_candidates = int(kept.shape[0])
 
     # stage 4: 1-D key conversion

@@ -156,9 +156,20 @@ class CenterPoint(nn.Module):
         ox, oy = c[:, 1].min(), c[:, 2].min()
         h = int(c[:, 1].max() - ox) + 1
         w = int(c[:, 2].max() - oy) + 1
-        bev = np.full((h, w, x.num_channels), -np.inf, dtype=np.float32)
-        np.maximum.at(bev, (c[:, 1] - ox, c[:, 2] - oy), x.feats)
-        bev[np.isneginf(bev)] = 0.0
+        # max-pool each occupied cell over its run of voxels in cell order
+        cell = (c[:, 1] - ox) * w + (c[:, 2] - oy)
+        feats = x.feats
+        if (cell[1:] < cell[:-1]).any():
+            # a stable sort keeps every cell's voxels in input order; coords
+            # in (batch, x, y, z) order, as downsampling emits them, are
+            # already in cell order and need no feature copy
+            order = np.argsort(cell, kind="stable")
+            cell, feats = cell[order], feats[order]
+        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+        pooled = np.maximum.reduceat(feats, starts, axis=0)
+        pooled[np.isneginf(pooled)] = 0.0
+        bev = np.zeros((h, w, x.num_channels), dtype=np.float32)
+        bev.reshape(h * w, -1)[cell[starts]] = pooled
         nbytes = x.num_points * x.num_channels * ctx.engine.config.dtype.nbytes * 2
         ctx.profile.log(
             "to_bev",

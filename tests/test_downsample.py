@@ -5,24 +5,68 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.kernel import kernel_offsets, to_tuple
 from repro.mapping.downsample import (
     downsample_coords,
     downsample_coords_reference,
 )
-
-coords_strategy = st.lists(
-    st.tuples(st.integers(0, 20), st.integers(0, 20), st.integers(0, 20)),
-    min_size=1,
-    max_size=60,
-    unique=True,
-)
-
 
 def make_coords(rows):
     c = np.array(rows, dtype=np.int64).reshape(-1, 3)
     return np.concatenate(
         [np.zeros((c.shape[0], 1), dtype=np.int64), c], axis=1
     ).astype(np.int32)
+
+
+@st.composite
+def batched_coords(draw):
+    """Unique rows over batches 0-2, spatial coordinates -12..12."""
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.integers(-12, 12),
+                st.integers(-12, 12),
+                st.integers(-12, 12),
+            ),
+            min_size=1,
+            max_size=60,
+            unique=True,
+        )
+    )
+    return np.array(rows, dtype=np.int32)
+
+
+@st.composite
+def kernels_and_strides(draw):
+    """Isotropic or per-axis kernels 1-4 and strides 1-3, some axis > 1."""
+    if draw(st.booleans()):
+        return draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    kernel = tuple(draw(st.integers(1, 4)) for _ in range(3))
+    stride = tuple(draw(st.integers(1, 3)) for _ in range(3))
+    if max(stride) == 1:
+        stride = (1, 2, 1)
+    return kernel, stride
+
+
+def boundaries():
+    bound = st.tuples(*(st.integers(1, 8) for _ in range(3)))
+    return st.none() | bound.map(np.array)
+
+
+def literal_candidates(coords, kernel_size, stride, boundary=None):
+    """Count the (point, offset) pairs passing Algorithm 3's checks."""
+    s = np.array(to_tuple(stride, name="stride"))
+    count = 0
+    for p in coords.astype(np.int64):
+        for d in kernel_offsets(kernel_size):
+            u = p[1:] - d
+            if (u % s).any():
+                continue
+            if boundary is not None and not ((u >= 0) & (u < s * boundary)).all():
+                continue
+            count += 1
+    return count
 
 
 class TestDownsampleCoords:
@@ -32,7 +76,7 @@ class TestDownsampleCoords:
         coords = make_coords(np.unique(rng.integers(0, 16, size=(50, 3)), axis=0))
         got, _ = downsample_coords(coords, kernel_size, stride)
         want = downsample_coords_reference(coords, kernel_size, stride)
-        assert np.array_equal(np.unique(got, axis=0), np.unique(want, axis=0))
+        assert np.array_equal(got, want)
 
     def test_k2s2_is_floor_division(self):
         """The classic 2x downsampler maps each point to floor(p/2)."""
@@ -72,14 +116,39 @@ class TestDownsampleCoords:
         with pytest.raises(ValueError):
             downsample_coords(make_coords([(0, 0, 0)]), 3, 1)
 
-    @given(coords_strategy, st.sampled_from([(2, 2), (3, 2)]))
-    @settings(max_examples=25, deadline=None)
-    def test_property_matches_reference(self, rows, ks):
+    @given(batched_coords(), kernels_and_strides(), boundaries())
+    @settings(max_examples=150, deadline=None)
+    def test_property_matches_reference(self, coords, ks, boundary):
+        """Same rows in the same order as literal Algorithm 3, and the
+        candidate count of its modular and boundary checks."""
         kernel_size, stride = ks
-        coords = make_coords(rows)
-        got, _ = downsample_coords(coords, kernel_size, stride)
+        got, cost = downsample_coords(coords, kernel_size, stride, boundary)
         want = downsample_coords_reference(coords, kernel_size, stride)
-        assert np.array_equal(np.unique(got, axis=0), np.unique(want, axis=0))
+        if boundary is not None:
+            # u = s*q, so the paper's 0 <= u < s*b is 0 <= q < b
+            q = want[:, 1:]
+            want = want[((q >= 0) & (q < boundary)).all(axis=1)]
+        assert got.dtype == np.int32
+        assert np.array_equal(got, want)
+        assert cost.n_in == coords.shape[0]
+        assert cost.n_out == want.shape[0]
+        assert cost.n_candidates == literal_candidates(
+            coords, kernel_size, stride, boundary
+        )
+
+    @pytest.mark.parametrize(
+        "row,stride",
+        [
+            ((0, 0, 32767, 0), (2, 1, 1)),
+            ((0, 0, 0, -32768), (2, 1, 1)),
+            ((1 << 15, 0, 0, 0), 2),
+        ],
+    )
+    def test_out_of_range_raises(self, row, stride):
+        """Outputs outside the packable range still raise, as the
+        packing of the candidates did."""
+        with pytest.raises(ValueError):
+            downsample_coords(np.array([row]), 3, stride)
 
 
 class TestDownsampleCost:

@@ -211,3 +211,81 @@ class TestGridVsHashEquivalence:
         hash_idx = CoordIndex.build(coords, backend="hash")
         grid_idx = CoordIndex.build(coords, backend="grid", margin=3)
         assert np.array_equal(hash_idx.lookup(probes), grid_idx.lookup(probes))
+
+
+@st.composite
+def shift_sets(draw):
+    """Kernel-offset-like shift lists: z-runs (+1 in z, the reused
+    search), repeats and descending z, and x/y changes that break a run
+    even where z still steps by one."""
+    axis = st.integers(-3, 3)
+    shifts = []
+    for _ in range(draw(st.integers(1, 5))):
+        if shifts and draw(st.booleans()):
+            # z steps by one, but x or y moves: not a z-run
+            x, y, z = shifts[-1]
+            dx, dy = draw(
+                st.tuples(axis, axis).filter(lambda v: v != (0, 0))
+            )
+            start = (x + dx, y + dy, z + 1)
+        else:
+            start = draw(st.tuples(axis, axis, axis))
+        step = draw(st.sampled_from([1, 1, 0, -1]))
+        length = draw(st.integers(1, 5))
+        shifts += [(start[0], start[1], start[2] + step * j) for j in range(length)]
+    return np.array(shifts, dtype=np.int64)
+
+
+@st.composite
+def dense_coords(draw):
+    """A small box with a few holes, so a probe's z-neighbours are
+    mostly hits too and any mis-stepped search shows."""
+    extent = [draw(st.integers(1, 2))] + [draw(st.integers(1, 4)) for _ in range(3)]
+    full = np.argwhere(np.ones(extent, dtype=bool)) + np.array([0, -2, -2, -2])
+    holes = draw(st.lists(st.integers(0, len(full) - 1), max_size=len(full) // 3))
+    return np.delete(full, holes, axis=0)
+
+
+class TestShiftedLookup:
+    """``lookup(c, shifts)`` answers and bills exactly like one plain
+    lookup per shifted probe set, on both backends."""
+
+    @given(
+        dense_coords(),
+        st.lists(st.integers(0, 99), max_size=40),
+        shift_sets(),
+        st.integers(0, 2),
+        st.sampled_from(["grid", "hash"]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_shift_lookups(self, coords, picks, shifts, margin, backend):
+        # probes: indexed rows, plus rows one voxel past the first three
+        probes = np.vstack(
+            [coords[[i % len(coords) for i in picks]], coords[:3] + (0, 1, 1, 1)]
+        )
+        shifted_index = CoordIndex.build(coords, backend=backend, margin=margin)
+        plain_index = CoordIndex.build(coords, backend=backend, margin=margin)
+
+        before = shifted_index.stats.query_accesses
+        got = shifted_index.lookup(probes, shifts)
+        billed = shifted_index.stats.query_accesses - before
+
+        before = plain_index.stats.query_accesses
+        want = np.stack(
+            [plain_index.lookup(probes + np.append(0, d)) for d in shifts]
+        )
+        per_shift = plain_index.stats.query_accesses - before
+
+        # the plain lookup shares the grid's code, so also ask a dict
+        row_of = {tuple(r): i for i, r in enumerate(coords.tolist())}
+        truth = [
+            [row_of.get(tuple(r), -1) for r in (probes + np.append(0, d)).tolist()]
+            for d in shifts
+        ]
+        assert got.shape == (len(shifts), len(probes))
+        assert np.array_equal(got, want)
+        assert got.tolist() == truth
+        assert billed == per_shift
+        if backend == "grid":
+            # one modeled access per probe (hash adds its collisions)
+            assert billed == len(shifts) * len(probes)

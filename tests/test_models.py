@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import BaselineEngine, ExecutionContext, TorchSparseEngine
 from repro.datasets.configs import nuscenes_like, waymo_like
 from repro.models import MODEL_ZOO, CenterPoint, MinkUNet
+from repro.core.sparse_tensor import SparseTensor
 from repro.models.centerpoint import Detection, bev_iou, nms
 from repro.robust.tolerance import END_TO_END
 
@@ -83,6 +86,96 @@ class TestCenterPoint:
         ctx = ExecutionContext(engine=BaselineEngine())
         net(det_input, ctx)
         assert ctx.profile.stage_times()["other"] > 0
+
+
+def bev_oracle(coords, feats):
+    """Per-voxel max over each (x, y) cell; empty and all ``-inf`` cells
+    read 0."""
+    ox, oy = coords[:, 1].min(), coords[:, 2].min()
+    h = coords[:, 1].max() - ox + 1
+    w = coords[:, 2].max() - oy + 1
+    best = {}
+    for (_, x, y, _), f in zip(coords.tolist(), feats.tolist()):
+        cell = (x - ox, y - oy)
+        best[cell] = [max(a, b) for a, b in zip(best.get(cell, f), f)]
+    bev = np.zeros((h, w, feats.shape[1]), dtype=np.float32)
+    for cell, f in best.items():
+        bev[cell] = [0.0 if v == -np.inf else v for v in f]
+    return bev, (ox, oy)
+
+
+class TestToBev:
+    def _run(self, coords, feats):
+        x = SparseTensor(np.asarray(coords), np.asarray(feats, dtype=np.float32))
+        ctx = ExecutionContext(engine=BaselineEngine())
+        return CenterPoint.to_bev(x, ctx)
+
+    def test_cases(self):
+        """Co-located voxels, an all-negative cell, ``-inf`` features and
+        empty cells on the map's edges."""
+        inf = np.inf
+        coords = np.array(
+            [
+                [0, 2, 5, 0],  # cell (0, 0): two voxels along z
+                [0, 2, 5, 3],
+                [0, 4, 6, 1],  # cell (2, 1): all negative
+                [0, 4, 6, 2],
+                [0, 3, 7, 0],  # cell (1, 2): -inf only
+                [0, 3, 8, 0],  # cell (1, 3): -inf next to a finite value
+                [0, 3, 8, 1],
+            ]
+        )
+        feats = [
+            [1.0, -2.0],
+            [0.5, 3.0],
+            [-4.0, -1.5],
+            [-3.0, -2.5],
+            [-inf, -inf],
+            [-inf, 2.0],
+            [-1.0, -inf],
+        ]
+        bev, origin = self._run(coords, feats)
+        want, want_origin = bev_oracle(coords, np.array(feats, dtype=np.float32))
+        assert origin == want_origin == (2, 5)
+        assert bev.shape == (3, 4, 2) and bev.dtype == np.float32
+        assert np.array_equal(bev, want)
+        assert bev[0, 0].tolist() == [1.0, 3.0]
+        assert bev[2, 1].tolist() == [-3.0, -1.5]
+        assert bev[1, 2].tolist() == [0.0, 0.0]
+        assert bev[1, 3].tolist() == [-1.0, 2.0]
+        # corners and the rest of the edges hold no voxel
+        assert not bev[0, 3].any() and not bev[2, 0].any()
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(0, 3)),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        ),
+        st.booleans(),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_voxel_max(self, rows, in_cell_order, data):
+        value = st.sampled_from([-np.inf, -2.5, -1.0, 0.0, 0.5, 7.0])
+        feats = np.array(
+            data.draw(
+                st.lists(
+                    st.tuples(value, value, value),
+                    min_size=len(rows),
+                    max_size=len(rows),
+                )
+            ),
+            dtype=np.float32,
+        )
+        if in_cell_order:
+            rows = sorted(rows)
+        coords = np.array([(0, *r) for r in rows])
+        bev, origin = self._run(coords, feats)
+        want, want_origin = bev_oracle(coords, feats)
+        assert origin == want_origin
+        assert np.array_equal(bev, want)
 
 
 class TestNMS:
