@@ -84,6 +84,13 @@ ENGINE_FACTORIES = {
 DEVICES: dict[str, GPUSpec] = {**GPU_REGISTRY, "cpu": CPU_16C}
 
 
+def _csv(text: str, default=()) -> list:
+    """The comma-separated items of ``text``; ``default`` when it is empty."""
+    if not text:
+        return list(default)
+    return [item.strip() for item in text.split(",") if item.strip()]
+
+
 def _zoo_entry(key: str):
     for e in MODEL_ZOO:
         if e.key == key:
@@ -328,16 +335,8 @@ def cmd_chaos(args) -> int:
     from repro.robust.chaos import PRESETS, run_campaign
     from repro.robust.faults import PIPELINE_FAULT_KINDS
 
-    kinds = (
-        [k.strip() for k in args.kinds.split(",") if k.strip()]
-        if args.kinds
-        else list(PIPELINE_FAULT_KINDS)
-    )
-    presets = (
-        [p.strip() for p in args.presets.split(",") if p.strip()]
-        if args.presets
-        else list(PRESETS)
-    )
+    kinds = _csv(args.kinds, PIPELINE_FAULT_KINDS)
+    presets = _csv(args.presets, PRESETS)
     seeds = [args.seed + i for i in range(args.seeds)]
     t0 = time.time()
     try:
@@ -396,16 +395,8 @@ def cmd_integrity(args) -> int:
     )
     from repro.robust.faults import SDC_FAULT_KINDS
 
-    kinds = (
-        [k.strip() for k in args.kinds.split(",") if k.strip()]
-        if args.kinds
-        else list(SDC_FAULT_KINDS)
-    )
-    dtypes = (
-        [d.strip() for d in args.dtypes.split(",") if d.strip()]
-        if args.dtypes
-        else list(DTYPE_PRESET_KEYS)
-    )
+    kinds = _csv(args.kinds, SDC_FAULT_KINDS)
+    dtypes = _csv(args.dtypes, DTYPE_PRESET_KEYS)
     seeds = [args.seed + i for i in range(args.seeds)]
     t0 = time.time()
     try:
@@ -472,7 +463,12 @@ def cmd_integrity(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.gpu.device import GPU_REGISTRY
+    from repro.obs.timeline import (
+        EVENTS_SCHEMA,
+        TimelineRecorder,
+        validate_journal,
+    )
+    from repro.robust.brownout import BrownoutConfig
     from repro.robust.faults import (
         DOMAIN_FAULT_KINDS,
         SDC_FAULT_KINDS,
@@ -481,18 +477,20 @@ def cmd_serve(args) -> int:
         FaultSpec,
     )
     from repro.serve import (
+        BatchingConfig,
         ServeConfig,
+        StormConfig,
         TrafficConfig,
-        format_serve_summary,
+        format_serve_report,
         run_serve_campaign,
     )
     from repro.serve.request import HedgePolicy, RetryPolicy
 
-    models = [m.strip() for m in args.models.split(",") if m.strip()]
+    models = _csv(args.models)
     for m in models:
         _zoo_entry(m)  # fail fast on typos
     devices = []
-    for key in (d.strip() for d in args.devices.split(",") if d.strip()):
+    for key in _csv(args.devices):
         if key not in DEVICES:
             raise SystemExit(
                 f"unknown device {key!r}; expected one of {list(DEVICES)}"
@@ -504,7 +502,7 @@ def cmd_serve(args) -> int:
     # returning corrupted-but-finished results (checksum_mismatch has no
     # serving-layer site — it lives inside the pipeline verifier)
     serve_kinds = SERVE_FAULT_KINDS + SDC_FAULT_KINDS[:2] + DOMAIN_FAULT_KINDS
-    kinds = [k.strip() for k in args.faults.split(",") if k.strip()]
+    kinds = _csv(args.faults)
     specs = []
     for kind in kinds:
         if kind not in serve_kinds:
@@ -538,33 +536,6 @@ def cmd_serve(args) -> int:
             specs.append(FaultSpec(kind=kind, count=max(1, args.crashes // 2)))
     injector = FaultInjector(seed=args.seed, specs=specs) if specs else None
 
-    brownout = None
-    if args.brownout:
-        from repro.robust.brownout import BrownoutConfig
-
-        brownout = BrownoutConfig(
-            interval=args.brownout_interval,
-            max_level=args.brownout_max_level,
-        )
-    domains = tuple(
-        d.strip() for d in args.domains.split(",") if d.strip()
-    ) or None
-    storm = None
-    if args.storm:
-        from repro.robust.domains import StormConfig
-
-        storm = StormConfig(
-            retry_budget=args.retry_budget,
-            retry_refill=args.retry_refill,
-        )
-    batching = None
-    if args.max_batch != 1:
-        from repro.serve import BatchingConfig
-
-        try:
-            batching = BatchingConfig(max_batch=args.max_batch)
-        except ValueError as e:
-            raise SystemExit(str(e))
     try:
         config = ServeConfig(
             devices=tuple(devices),
@@ -580,18 +551,33 @@ def cmd_serve(args) -> int:
             max_probes=args.max_probes,
             slo_window=args.slo_window,
             slo_target=args.slo_target,
-            brownout=brownout,
+            brownout=(
+                BrownoutConfig(
+                    interval=args.brownout_interval,
+                    max_level=args.brownout_max_level,
+                )
+                if args.brownout
+                else None
+            ),
             spares=args.spares,
             store_dir=args.store,
-            domains=domains,
-            storm=storm,
+            domains=tuple(_csv(args.domains)) or None,
+            storm=(
+                StormConfig(
+                    retry_budget=args.retry_budget,
+                    retry_refill=args.retry_refill,
+                )
+                if args.storm
+                else None
+            ),
             domain_defense=not args.no_domain_defense,
             breaker_threshold=args.breaker_threshold,
-            batching=batching,
+            batching=(
+                BatchingConfig(max_batch=args.max_batch)
+                if args.max_batch != 1
+                else None
+            ),
         )
-    except ValueError as e:
-        raise SystemExit(str(e))
-    try:
         traffic = TrafficConfig(
             rate=args.rate,
             duration=args.duration,
@@ -603,119 +589,23 @@ def cmd_serve(args) -> int:
         )
     except ValueError as e:
         raise SystemExit(str(e))
-    recorder = None
-    if args.events or args.trace:
-        from repro.obs.timeline import TimelineRecorder
-
-        recorder = TimelineRecorder()
+    recorder = TimelineRecorder() if args.events or args.trace else None
     t0 = time.time()
     with use_registry(MetricsRegistry()) as reg:
         report = run_serve_campaign(
             config, traffic, injector=injector, recorder=recorder
         )
-    rows = [
-        [
-            label,
-            report.fleet[label]["state"],
-            str(u["completed"]),
-            f"{u['busy_time'] * 1e3:.1f}",
-            str(report.fleet[label]["crashes"]),
-            str(report.fleet[label]["probes"]),
-        ]
-        for label, u in report.utilization.items()
-    ]
-    print(
-        format_table(
-            ["device", "health", "completed", "busy (ms)", "crashes",
-             "probes"],
-            rows,
-            title=f"serve campaign ({args.preset}, seed {args.seed}, "
-            f"{args.rate:.0f} req/s x {args.duration:.2f}s)",
-        )
+    title = (
+        f"serve campaign ({args.preset}, seed {args.seed}, "
+        f"{args.rate:.0f} req/s x {args.duration:.2f}s"
     )
-    print(format_serve_summary(report))
-    if report.steady_state:
-        print(
-            f"steady state: {report.warm_dispatches} warm / "
-            f"{report.cold_dispatches} cold dispatches "
-            f"({report.warm_fraction:.1%} warm, "
-            f"coherence {args.coherence:.2f})"
-        )
-    if report.batching:
-        mix = " ".join(
-            f"x{n}:{c}" for n, c in sorted(report.batch_mix.items())
-        )
-        print(
-            f"batching: {report.batches_dispatched} batched attempts "
-            f"(<= {report.max_batch}) carrying {report.batched_members} "
-            f"requests | mean size {report.mean_batch_size:.2f}, "
-            f"occupancy {report.batch_occupancy:.1%}"
-            + (f" | mix {mix}" if mix else "")
-        )
-    if report.brownout:
-        steps = " -> ".join(["full"] + [c["rung"] for c in report.qos_changes])
-        print(
-            f"brownout: {len(report.qos_changes)} level changes ({steps}) | "
-            f"{report.degraded_fraction:.1%} of served requests degraded"
-        )
-    if report.spares or report.replacements:
-        if report.replacements:
-            for rec in report.replacements:
-                print(
-                    f"replacement: {rec['device']} filled slot "
-                    f"{rec['slot']} at t={rec['t'] * 1e3:.1f} ms "
-                    + (
-                        f"(warm-started, {rec['inherited_frames']} frames "
-                        "inherited from the store)"
-                        if rec["warm_start"]
-                        else "(cold start)"
-                    )
-                )
-            print(
-                f"spare-served requests: "
-                f"p50 {report.replacement_p50 * 1e3:.2f} ms, "
-                f"p99 {report.replacement_p99 * 1e3:.2f} ms"
-            )
-        else:
-            print(f"spares: {report.spares} armed, none needed")
-    if report.domain_summary:
-        for name in sorted(report.domain_summary):
-            d = report.domain_summary[name]
-            print(
-                f"domain {name}: {d['members']} devices, "
-                f"{d['outages']} outages, "
-                f"{d['mass_quarantined']} mass-quarantined, "
-                f"availability {d['availability']:.1%}"
-            )
-    if report.storm:
-        print(
-            f"storm defense: amplification {report.amplification:.2f}x "
-            f"({report.attempts} attempts / {report.total} arrivals) | "
-            f"{report.retries_denied} retries denied "
-            f"(budget {report.retry_denied.get('budget', 0)}, "
-            f"deadline {report.retry_denied.get('deadline', 0)}) | "
-            f"{report.hedges_suppressed} hedges suppressed"
-        )
-    shots = injector.shots if injector else 0
+    if args.steady_state:
+        title += f", coherence {args.coherence:.2f}"
+    print(format_serve_report(report, title + ")"))
     print(
-        f"terminal states: {'all' if report.all_terminal else 'INCOMPLETE'} | "
-        f"fault shots {shots} | host wall {time.time() - t0:.1f}s"
+        f"fault shots {injector.shots if injector else 0} | "
+        f"host wall {time.time() - t0:.1f}s"
     )
-    if args.slo_window is not None:
-        series = report.slo_series()
-        worst = report.worst_window_burn
-        busiest = max(series, key=lambda w: w.total, default=None)
-        print(
-            f"SLO windows ({args.slo_window:.3f}s x {len(series)}, target "
-            f"{args.slo_target:.2%}): worst burn {worst:.2f}x"
-            + (
-                f" | busiest window [{busiest.start:.3f}, {busiest.end:.3f}) "
-                f"{busiest.total} finished, miss {busiest.miss_rate:.1%}, "
-                f"p99 {busiest.p99 * 1e3:.2f} ms"
-                if busiest is not None
-                else ""
-            )
-        )
     if args.metrics:
         reg.dump_jsonl(args.metrics)
         print(f"metrics JSONL written to {args.metrics}")
@@ -725,7 +615,6 @@ def cmd_serve(args) -> int:
         write_prometheus(reg, args.prom)
         print(f"prometheus exposition written to {args.prom}")
     if recorder is not None:
-        from repro.obs.timeline import EVENTS_SCHEMA, validate_journal
         from repro.profiling.trace import write_serve_trace
 
         problems = validate_journal(recorder.header(), recorder.events)
@@ -747,31 +636,10 @@ def cmd_serve(args) -> int:
     if args.json:
         write_snapshot(report.to_json(), args.json)
         print(f"serve report written to {args.json}")
-    ok = report.passed and report.slo_attainment >= args.slo_floor
-    burn_ok = (
-        args.burn_ceiling is None
-        or args.slo_window is None
-        or report.worst_window_burn <= args.burn_ceiling
-    )
-    if not ok or not burn_ok:
-        if not report.all_terminal:
-            print("FAIL: non-terminal requests at campaign end")
-        elif report.corrupted_completions:
-            print(
-                f"FAIL: {report.corrupted_completions} corrupted results "
-                "shipped as completed (silent-data-corruption hole)"
-            )
-        elif report.slo_attainment < args.slo_floor:
-            print(
-                f"FAIL: slo_attainment {report.slo_attainment:.3f} < floor "
-                f"{args.slo_floor:.3f}"
-            )
-        else:
-            print(
-                f"FAIL: worst-window burn {report.worst_window_burn:.2f}x > "
-                f"ceiling {args.burn_ceiling:.2f}x"
-            )
-    return 0 if ok and burn_ok else 1
+    failure = report.failure(args.slo_floor, args.burn_ceiling)
+    if failure:
+        print(f"FAIL: {failure}")
+    return 1 if failure else 0
 
 
 def cmd_timeline(args) -> int:

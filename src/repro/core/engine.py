@@ -773,11 +773,12 @@ class BaseEngine:
     ) -> SparseTensor:
         """One attempt of the four-stage pipeline under ``cfg``."""
         if transposed:
-            return self._transposed(
-                x, weights, ctx, kernel_size, stride, bias, layer_name, cfg
-            )
-
-        span_name = layer_name or f"conv.k{kernel_size}.s{stride}"
+            out_stride, out_coords = self._upsample_target(x, stride, ctx)
+            span_name = layer_name or f"convT.k{kernel_size}.s{stride}"
+            site = f"kmap.T.k{kernel_size}.s{stride}"
+        else:
+            span_name = layer_name or f"conv.k{kernel_size}.s{stride}"
+            site = f"kmap.k{kernel_size}.s{stride}"
         with ctx.profile.span(
             span_name,
             kind="conv",
@@ -786,31 +787,52 @@ class BaseEngine:
             in_stride=x.stride,
             c_in=int(weights.shape[1]),
             c_out=int(weights.shape[2]),
+            **({"transposed": True} if transposed else {}),
         ):
-            if stride == 1:
-                out_coords, out_stride = x.coords, x.stride
-            else:
-                out_stride = normalize(
-                    tuple(
-                        a * b
-                        for a, b in zip(to_tuple(x.stride), to_tuple(stride))
-                    )
-                )
-                out_coords = self._output_coords(
-                    x,
+            if transposed:
+                # the forward map of the mirrored downsampling layer; the
+                # canonical (effective-symmetry) key makes it shareable
+                # with that layer's own cache entry, per-context and
+                # persistent
+                kmap = self._lookup_kmap(
+                    out_coords,
+                    out_stride,
+                    x.coords,
+                    x.stride,
                     kernel_size,
                     stride,
-                    out_stride,
                     ctx,
-                    cfg.fused_downsample,
-                    "downsample.coords",
+                    cfg,
+                    use_symmetry=False,
+                    label=f"T.k{kernel_size}.s{stride}",
+                ).transposed()
+            else:
+                if stride == 1:
+                    out_coords, out_stride = x.coords, x.stride
+                else:
+                    out_stride = normalize(
+                        tuple(
+                            a * b
+                            for a, b in zip(
+                                to_tuple(x.stride), to_tuple(stride)
+                            )
+                        )
+                    )
+                    out_coords = self._output_coords(
+                        x,
+                        kernel_size,
+                        stride,
+                        out_stride,
+                        ctx,
+                        cfg.fused_downsample,
+                        "downsample.coords",
+                    )
+                kmap = self._get_kmap(
+                    x, out_coords, out_stride, kernel_size, stride, ctx, cfg
                 )
-
-            kmap = self._get_kmap(
-                x, out_coords, out_stride, kernel_size, stride, ctx, cfg
-            )
             # fault-injection site: corrupt searched map entries in place
-            maybe_corrupt_kmap(kmap, site=f"kmap.k{kernel_size}.s{stride}")
+            # (for a transposed layer, the shared transposed map)
+            maybe_corrupt_kmap(kmap, site=site)
             self._detect_kmap_fault(kmap, span_name)
             feats = self._run_dataflow(x.feats, weights, kmap, ctx, layer_name, cfg)
             self._detect_numeric_fault(feats, span_name)
@@ -818,17 +840,12 @@ class BaseEngine:
                 feats = feats + bias.astype(np.float32)
             return SparseTensor(out_coords, feats, stride=out_stride)
 
-    def _transposed(
-        self,
-        x: SparseTensor,
-        weights: np.ndarray,
-        ctx: ExecutionContext,
-        kernel_size: int,
-        stride: int,
-        bias: np.ndarray | None,
-        layer_name: str,
-        cfg: EngineConfig,
-    ) -> SparseTensor:
+    @staticmethod
+    def _upsample_target(
+        x: SparseTensor, stride: int, ctx: ExecutionContext
+    ) -> tuple:
+        """The (stride, coordinates) a transposed conv upsamples ``x``
+        onto: those cached by the downsampling layer it mirrors."""
         s3 = to_tuple(stride, name="stride")
         if all(si == 1 for si in s3) or any(si < 1 for si in s3):
             raise ValueError("transposed convolution requires stride > 1")
@@ -844,41 +861,7 @@ class BaseEngine:
                 f"no cached coordinates at stride {fine_stride}; transposed "
                 "convolutions must mirror an earlier downsampling layer"
             )
-        span_name = layer_name or f"convT.k{kernel_size}.s{stride}"
-        with ctx.profile.span(
-            span_name,
-            kind="conv",
-            kernel_size=kernel_size,
-            stride=stride,
-            in_stride=x.stride,
-            c_in=int(weights.shape[1]),
-            c_out=int(weights.shape[2]),
-            transposed=True,
-        ):
-            # the forward map of the mirrored downsampling layer; the
-            # canonical (effective-symmetry) key makes it shareable with
-            # that layer's own cache entry, per-context and persistent
-            fwd = self._lookup_kmap(
-                fine_coords,
-                fine_stride,
-                x.coords,
-                x.stride,
-                kernel_size,
-                stride,
-                ctx,
-                cfg,
-                use_symmetry=False,
-                label=f"T.k{kernel_size}.s{stride}",
-            )
-            kmap = fwd.transposed()
-            # fault-injection site: corrupt the (shared) transposed map
-            maybe_corrupt_kmap(kmap, site=f"kmap.T.k{kernel_size}.s{stride}")
-            self._detect_kmap_fault(kmap, span_name)
-            feats = self._run_dataflow(x.feats, weights, kmap, ctx, layer_name, cfg)
-            self._detect_numeric_fault(feats, span_name)
-            if bias is not None:
-                feats = feats + bias.astype(np.float32)
-            return SparseTensor(fine_coords, feats, stride=fine_stride)
+        return fine_stride, fine_coords
 
     # -- dataflow dispatch -----------------------------------------------------
 

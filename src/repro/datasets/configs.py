@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.core.sparse_tensor import SparseTensor
 from repro.datasets.lidar import LidarConfig, PointCloud, multi_frame_scan, scan
 from repro.datasets.scenes import make_outdoor_scene
@@ -74,20 +72,6 @@ class DatasetConfig:
 
         return replace(self, z_crop=(z_min, z_max))
 
-    def coarsened(self, factor: int) -> "DatasetConfig":
-        """The same dataset voxelized ``factor``x coarser (brownout's
-        resolution rung)."""
-        from dataclasses import replace
-
-        if factor < 1:
-            raise ValueError("factor must be >= 1")
-        if factor == 1:
-            return self
-        return replace(
-            self,
-            name=f"{self.name}-vox{factor}x",
-            voxel_size=self.voxel_size * factor,
-        )
 
 
 def semantic_kitti_like() -> DatasetConfig:
@@ -143,14 +127,3 @@ DATASETS = {
     "nuscenes": nuscenes_like,
     "waymo": waymo_like,
 }
-
-
-def tensor_stats(t: SparseTensor) -> dict:
-    """Quick shape summary used in reports."""
-    c = t.coords[:, 1:].astype(np.int64)
-    extent = (c.max(axis=0) - c.min(axis=0) + 1) if t.num_points else np.zeros(3)
-    return {
-        "points": t.num_points,
-        "channels": t.num_channels,
-        "extent": tuple(int(e) for e in extent),
-    }

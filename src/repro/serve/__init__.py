@@ -42,7 +42,7 @@ from repro.serve.health import (
     FleetHealth,
 )
 from repro.serve.queue import AdmissionQueue
-from repro.serve.report import SERVE_SCHEMA, ServeReport, format_serve_summary
+from repro.serve.report import SERVE_SCHEMA, ServeReport, format_serve_report
 from repro.serve.request import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -97,7 +97,7 @@ __all__ = [
     "TERMINAL_STATES",
     "TrafficConfig",
     "batch_close_time",
-    "format_serve_summary",
+    "format_serve_report",
     "generate_arrivals",
     "run_serve_campaign",
 ]

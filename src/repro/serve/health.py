@@ -277,10 +277,6 @@ class FleetHealth:
         return False
 
     @property
-    def any_available(self) -> bool:
-        return any(d.available for d in self.devices.values())
-
-    @property
     def all_dead(self) -> bool:
         return all(d.state == DEAD for d in self.devices.values())
 

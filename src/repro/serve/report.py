@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.obs.timeline import windowed_slo, worst_burn
-from repro.profiling.report import percentile
+from repro.profiling.report import format_table, percentile
 from repro.serve.request import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -496,16 +496,13 @@ class ServeReport:
             and r.devices[-1] in labels
         ]
 
-    def replacement_percentile(self, q: float) -> float:
-        return percentile(self._replacement_latencies(), q)
-
     @property
     def replacement_p50(self) -> float:
-        return self.replacement_percentile(50.0)
+        return percentile(self._replacement_latencies(), 50.0)
 
     @property
     def replacement_p99(self) -> float:
-        return self.replacement_percentile(99.0)
+        return percentile(self._replacement_latencies(), 99.0)
 
     @property
     def corrupted_completions(self) -> int:
@@ -521,6 +518,31 @@ class ServeReport:
         """Liveness plus integrity: nothing stuck transient, and no
         corrupted result ever shipped as ``completed``."""
         return self.all_terminal and self.corrupted_completions == 0
+
+    def failure(
+        self, slo_floor: float = 0.0, burn_ceiling: float | None = None
+    ) -> str | None:
+        """The first gate this campaign fails, or ``None``: liveness,
+        integrity, the SLO floor, then (with the windowed monitor on)
+        the worst window's burn against ``burn_ceiling``."""
+        if not self.all_terminal:
+            return "non-terminal requests at campaign end"
+        if self.corrupted_completions:
+            return (
+                f"{self.corrupted_completions} corrupted results shipped "
+                "as completed (silent-data-corruption hole)"
+            )
+        if self.slo_attainment < slo_floor:
+            return (
+                f"slo_attainment {self.slo_attainment:.3f} < floor "
+                f"{slo_floor:.3f}"
+            )
+        if burn_ceiling is None or self.slo_window is None:
+            return None
+        burn = self.worst_window_burn
+        if burn <= burn_ceiling:
+            return None
+        return f"worst-window burn {burn:.2f}x > ceiling {burn_ceiling:.2f}x"
 
     def to_json(self) -> dict:
         out = {
@@ -614,10 +636,32 @@ class ServeReport:
         return out
 
 
-def format_serve_summary(report: ServeReport) -> str:
-    """One-paragraph human summary (the CLI's footer line)."""
+def format_serve_report(report: ServeReport, title: str) -> str:
+    """The text view of a campaign: the device table, the summary, one
+    line per engaged feature, the terminal states and the SLO windows.
+
+    Every figure is read off ``report``; campaign parameters it does not
+    carry (preset, rate, coherence) ride in ``title``.
+    """
+    rows = [
+        [
+            label,
+            report.fleet[label]["state"],
+            str(u["completed"]),
+            f"{u['busy_time'] * 1e3:.1f}",
+            str(report.fleet[label]["crashes"]),
+            str(report.fleet[label]["probes"]),
+        ]
+        for label, u in report.utilization.items()
+    ]
     o = report.outcomes
-    text = (
+    lines = [
+        format_table(
+            ["device", "health", "completed", "busy (ms)", "crashes",
+             "probes"],
+            rows,
+            title=title,
+        ),
         f"{report.total} requests: {o[COMPLETED]} completed, "
         f"{o[SHED]} shed, {o[DEADLINE_EXCEEDED]} late, "
         f"{o[FAILED]} failed | "
@@ -627,51 +671,86 @@ def format_serve_summary(report: ServeReport) -> str:
         f"{report.hedges_won} won / {report.hedges_cancelled} cancelled | "
         f"retries {report.retries} | "
         f"integrity {report.integrity_failures} caught / "
-        f"{report.corrupted_completions} shipped"
-    )
+        f"{report.corrupted_completions} shipped",
+    ]
+    if report.steady_state:
+        lines.append(
+            f"steady state: {report.warm_dispatches} warm / "
+            f"{report.cold_dispatches} cold dispatches "
+            f"({report.warm_fraction:.1%} warm)"
+        )
     if report.batching:
-        mix = " ".join(f"x{n}:{c}" for n, c in sorted(report.batch_mix.items()))
-        text += (
-            f" | batching <= {report.max_batch} "
-            f"({report.batches_dispatched} batches, "
-            f"mean {report.mean_batch_size:.2f}, "
+        mix = " ".join(
+            f"x{n}:{c}" for n, c in sorted(report.batch_mix.items())
+        )
+        lines.append(
+            f"batching: {report.batches_dispatched} batched attempts "
+            f"(<= {report.max_batch}) carrying {report.batched_members} "
+            f"requests | mean size {report.mean_batch_size:.2f}, "
             f"occupancy {report.batch_occupancy:.1%}"
-            + (f", mix {mix}" if mix else "")
-            + ")"
+            + (f" | mix {mix}" if mix else "")
         )
     if report.brownout:
+        steps = " -> ".join(["full"] + [c["rung"] for c in report.qos_changes])
         mix = " ".join(f"{k}:{v}" for k, v in report.qos_mix.items())
-        text += (
-            f" | qos {mix} "
-            f"({len(report.qos_changes)} changes, "
-            f"{report.degraded_fraction:.1%} degraded)"
+        lines.append(
+            f"brownout: {len(report.qos_changes)} level changes ({steps}) | "
+            f"{report.degraded_fraction:.1%} of served requests degraded | "
+            f"qos {mix}"
         )
     if report.replacements:
-        warm = sum(rec["warm_start"] for rec in report.replacements)
-        text += (
-            f" | replacements {len(report.replacements)} "
-            f"({warm} warm-started, "
-            f"spare p99 {report.replacement_p99 * 1e3:.2f} ms)"
-        )
-    if report.domains:
-        worst = (
-            min(
-                s["availability"] for s in report.domain_summary.values()
+        filled = "; ".join(
+            f"{rec['device']} filled slot {rec['slot']} at "
+            f"t={rec['t'] * 1e3:.1f} ms "
+            + (
+                f"(warm-started, {rec['inherited_frames']} frames "
+                "inherited from the store)"
+                if rec["warm_start"]
+                else "(cold start)"
             )
-            if report.domain_summary
-            else 1.0
+            for rec in report.replacements
         )
-        outages = sum(
-            s["outages"] for s in report.domain_summary.values()
+        lines.append(
+            f"replacement: {filled} | spare-served requests "
+            f"p50 {report.replacement_p50 * 1e3:.2f} ms, "
+            f"p99 {report.replacement_p99 * 1e3:.2f} ms"
         )
-        text += (
-            f" | domains {len(set(report.domains.values()))} "
-            f"({outages} outages, worst availability {worst:.1%})"
+    elif report.spares:
+        lines.append(f"spares: {report.spares} armed, none needed")
+    # a domain without a breaker (a singleton, or the defense off) has
+    # no summary: it reads as never out
+    domains = list(report.domains.values())
+    for name in sorted(set(domains)):
+        d = report.domain_summary.get(name) or dict(
+            members=domains.count(name), outages=0, mass_quarantined=0,
+            availability=1.0,
+        )
+        lines.append(
+            f"domain {name}: {d['members']} devices, {d['outages']} outages, "
+            f"{d['mass_quarantined']} mass-quarantined, "
+            f"availability {d['availability']:.1%}"
         )
     if report.storm:
-        text += (
-            f" | storm amp {report.amplification:.2f}x "
-            f"({report.retries_denied} retries denied, "
-            f"{report.hedges_suppressed} hedges suppressed)"
+        lines.append(
+            f"storm defense: amplification {report.amplification:.2f}x "
+            f"({report.attempts} attempts / {report.total} arrivals) | "
+            f"{report.retries_denied} retries denied "
+            f"(budget {report.retry_denied.get('budget', 0)}, "
+            f"deadline {report.retry_denied.get('deadline', 0)}) | "
+            f"{report.hedges_suppressed} hedges suppressed"
         )
-    return text
+    lines.append(
+        f"terminal states: {'all' if report.all_terminal else 'INCOMPLETE'}"
+    )
+    if report.slo_window is not None:
+        series = report.slo_series()  # never empty: one window at least
+        busiest = max(series, key=lambda w: w.total)
+        lines.append(
+            f"SLO windows ({report.slo_window:.3f}s x {len(series)}, target "
+            f"{report.slo_target:.2%}): worst burn "
+            f"{worst_burn(series):.2f}x | busiest window "
+            f"[{busiest.start:.3f}, {busiest.end:.3f}) "
+            f"{busiest.total} finished, miss {busiest.miss_rate:.1%}, "
+            f"p99 {busiest.p99 * 1e3:.2f} ms"
+        )
+    return "\n".join(lines)

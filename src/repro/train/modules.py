@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.engine import BaselineEngine, ExecutionContext
 from repro.core.kernel import kernel_volume
-from repro.core.sparse_tensor import SparseTensor
 from repro.mapping.downsample import downsample_coords
 from repro.mapping.kmap import CoordIndex, KernelMap, build_kmap
 from repro.train.autograd import (
@@ -216,13 +214,3 @@ def cross_entropy(logits: Var, targets: np.ndarray) -> Var:
         raise ValueError("targets must have one label per point")
     picked = pick_per_row(log_softmax(logits), targets)
     return scale(mean_all(picked), -1.0)
-
-
-def maps_for_tensor(x: SparseTensor) -> MapProvider:
-    """Convenience: a MapProvider for one voxelized input."""
-    return MapProvider(x.coords)
-
-
-def inference_context() -> ExecutionContext:
-    """Context helper for mixing trained weights back into inference."""
-    return ExecutionContext(engine=BaselineEngine())

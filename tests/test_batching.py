@@ -38,7 +38,7 @@ from repro.serve import (
     ServeConfig,
     TrafficConfig,
     batch_close_time,
-    format_serve_summary,
+    format_serve_report,
     run_serve_campaign,
 )
 
@@ -364,7 +364,8 @@ class TestBatchedCampaign:
         assert 0.0 < j["occupancy"] <= 1.0
         assert report.mean_batch_size > 1.5
         assert report.all_terminal
-        assert "batching <=" in format_serve_summary(report)
+        text = format_serve_report(report, "campaign")
+        assert "batching: " in text and "(<= 4)" in text
         served = [r for r in report.requests if r.devices]
         assert all(
             len(r.batches) == len(r.devices) for r in report.requests

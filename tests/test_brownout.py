@@ -36,7 +36,7 @@ from repro.serve import (
     SHED,
     ServeConfig,
     TrafficConfig,
-    format_serve_summary,
+    format_serve_report,
     generate_arrivals,
     run_serve_campaign,
 )
@@ -651,9 +651,9 @@ class TestBrownoutServing:
 
     def test_summary_line_mentions_qos(self):
         report, _, _ = flash_campaign(BrownoutConfig())
-        assert "qos" in format_serve_summary(report)
+        assert "qos" in format_serve_report(report, "campaign")
         base, _, _ = flash_campaign(None)
-        assert "qos" not in format_serve_summary(base)
+        assert "qos" not in format_serve_report(base, "campaign")
 
     def test_request_restamped_to_final_dispatch_rung(self):
         report, recorder, _ = flash_campaign(BrownoutConfig())

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import pytest
 
@@ -246,9 +247,51 @@ class TestServeCli:
             assert d["batching"]["enabled"] and d["batching"]["max_batch"] == n
             assert "batching:" in capsys.readouterr().out
 
+    BATCHED = ["serve", "--scale", "0.04", "--rate", "400", "--duration",
+               "0.1", "--seed", "3", "--max-batch", "4"]
+    BROWNOUT = ["serve", "--scale", "0.04", "--rate", "600", "--duration",
+                "0.3", "--seed", "11", "--traffic-shape", "flash",
+                "--peak-factor", "8", "--queue-capacity", "16",
+                "--deadline-factor", "5", "--brownout",
+                "--brownout-interval", "0.02"]
+
+    @pytest.mark.parametrize(
+        "args, facts",
+        [
+            (BATCHED, ("batch", "occupancy", "mix x")),
+            (BROWNOUT, ("qos", "degraded", "level changes", "full:")),
+        ],
+        ids=["batching", "brownout"],
+    )
+    def test_feature_facts_printed_once(self, args, facts, capsys):
+        assert main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for fact in facts:
+            assert sum(fact in line for line in lines) == 1, fact
+
+    def test_same_seed_same_stdout(self, capsys):
+        outs = []
+        for _ in range(2):
+            assert main(self.CHAOS) == 0
+            outs.append(re.sub(r"host wall [0-9.]+s", "host wall -",
+                               capsys.readouterr().out))
+        assert "host wall -" in outs[0]
+        assert outs[0] == outs[1]
+
     def test_max_batch_below_one_rejected(self):
         with pytest.raises(SystemExit, match="max_batch must be >= 1, got 0"):
             main([*self.SERVE, "--max-batch", "0"])
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--brownout", "--brownout-interval", "0"], "interval"),
+            (["--storm", "--retry-budget", "-1"], "retry_budget"),
+        ],
+    )
+    def test_bad_feature_knobs_rejected(self, flags, message):
+        with pytest.raises(SystemExit, match=message):
+            main([*self.SERVE, *flags])
 
     def test_slo_floor_gate_fails(self, capsys):
         # an impossible floor flips the exit code, not the report

@@ -24,6 +24,7 @@ from repro.serve import (
     FAILED,
     HEALTHY,
     QUARANTINED,
+    QUEUED,
     SHED,
     TERMINAL_STATES,
     AdmissionQueue,
@@ -33,7 +34,7 @@ from repro.serve import (
     RetryPolicy,
     ServeConfig,
     TrafficConfig,
-    format_serve_summary,
+    format_serve_report,
     generate_arrivals,
     run_serve_campaign,
 )
@@ -618,8 +619,22 @@ class TestServeReport:
 
     def test_summary_line_mentions_key_numbers(self):
         report = self._report()
-        line = format_serve_summary(report)
-        assert "SLO" in line and "p99" in line and "hedges" in line
+        text = format_serve_report(report, "campaign")
+        assert "SLO" in text and "p99" in text and "hedges" in text
+
+    def test_failure_verdict_in_gate_order(self):
+        report = self._report()
+        assert report.failure() is None
+        assert report.failure(slo_floor=1.01) == (
+            f"slo_attainment {report.slo_attainment:.3f} < floor 1.010"
+        )
+        # without a windowed monitor there is no burn to gate
+        assert report.slo_window is None
+        assert report.failure(burn_ceiling=-1.0) is None
+        report.requests[0].state = QUEUED
+        assert report.failure(slo_floor=1.01) == (
+            "non-terminal requests at campaign end"
+        )
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -710,6 +725,11 @@ class TestSilentDataCorruption:
         assert report.corrupted_completions > 0
         assert not report.passed  # liveness holds, integrity does not
         assert report.all_terminal
+        # the integrity verdict outranks the SLO floor
+        assert report.failure(slo_floor=1.01) == (
+            f"{report.corrupted_completions} corrupted results shipped as "
+            "completed (silent-data-corruption hole)"
+        )
         shipped = [r for r in report.requests if r.corrupted]
         assert all(r.state == COMPLETED for r in shipped)
         assert reg.scalars().get(
@@ -744,8 +764,8 @@ class TestSilentDataCorruption:
 
     def test_summary_line_reports_integrity(self):
         report, _, _ = campaign(specs=self._specs())
-        line = format_serve_summary(report)
-        assert "integrity" in line and "caught" in line and "shipped" in line
+        text = format_serve_report(report, "campaign")
+        assert "integrity" in text and "caught" in text and "shipped" in text
 
 
 class TestTemporalCoherence:
@@ -938,9 +958,10 @@ class TestSpareReplacement:
         assert rep["records"][0]["device"] == "spare1"
         assert rep["served"] > 0
         assert rep["p99"] >= rep["p50"] > 0
-        assert "replacements 1 (1 warm-started" in format_serve_summary(
-            report
-        )
+        text = format_serve_report(report, "campaign")
+        [line] = [l for l in text.splitlines() if l.startswith("replacement:")]
+        assert line.count("(warm-started") == 1
+        assert f"p99 {rep['p99'] * 1e3:.2f} ms" in line
 
     def test_second_campaign_warm_starts_whole_fleet(self, tmp_path):
         from repro.obs.timeline import TimelineRecorder

@@ -1,9 +1,10 @@
 """Byte-level goldens of the serve loop across the batching axis.
 
-Every case below runs one seeded campaign and digests four outputs:
+Every case below runs one seeded campaign and digests five outputs:
 the canonical report JSON, the journal JSONL, the Perfetto serve trace
-rendered from that journal, and the metrics registry's JSONL.  The
-digests in ``tests/data/serve_goldens.json`` pin all four for
+rendered from that journal, the metrics registry's JSONL, and the text
+view :func:`~repro.serve.report.format_serve_report` prints.  The
+digests in ``tests/data/serve_goldens.json`` pin all five for
 
 * ``batching=None``, ``BatchingConfig(max_batch=1)`` and
   ``BatchingConfig(max_batch=4)``, crossed with
@@ -51,7 +52,7 @@ from repro.serve import (
     TrafficConfig,
     run_serve_campaign,
 )
-from repro.serve.report import ServeReport, fold_journal
+from repro.serve.report import ServeReport, fold_journal, format_serve_report
 
 GOLDENS = os.path.join(os.path.dirname(__file__), "data", "serve_goldens.json")
 
@@ -60,6 +61,8 @@ LAT = {"m": 0.004, "big": 0.012}
 DEVICES = (RTX_2080TI, RTX_2080TI, RTX_3090, RTX_3090)
 RACKS = ("rack0", "rack0", "rack1", "rack1")
 SEED = 11
+#: the title every golden text view is rendered under
+TITLE = "serve campaign (golden)"
 
 #: scenario -> (ServeConfig kwargs, TrafficConfig kwargs, fault specs)
 SCENARIOS = {
@@ -174,6 +177,7 @@ def run_case(case: str, store_root: str) -> CaseRun:
         "journal": _digest(recorder.to_jsonl()),
         "trace": _digest(_canonical(trace)),
         "metrics": _digest(reg.to_jsonl()),
+        "text": _digest(format_serve_report(report, TITLE)),
     }
     return CaseRun(report, digests, recorder, reg)
 
