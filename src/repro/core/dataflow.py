@@ -318,7 +318,6 @@ def execute_gather_matmul_scatter(
     device: GPUSpec,
     profile: Profile,
     skip_center: bool = True,
-    exact_bmm: bool = False,
     integrity=None,
     numerics: bool = True,
 ) -> np.ndarray:
@@ -335,11 +334,6 @@ def execute_gather_matmul_scatter(
         skip_center: process the stride-1 center offset as a direct
             ``mm`` without data movement (always true in the engines;
             exposed for tests).
-        exact_bmm: materialize the padded batched matmul exactly as the
-            GPU would.  Zero-padding makes it numerically identical to
-            the default per-member path (a property the tests assert),
-            so by default only the *cost* reflects bmm and the numerics
-            take the faster per-member route.
         integrity: optional
             :class:`~repro.robust.integrity.IntegrityChecker` verifying
             each stage with ABFT checksums (observation only — never
@@ -413,37 +407,10 @@ def execute_gather_matmul_scatter(
         for gi, group in enumerate(plan.groups):
             sizes = [len(kmap.in_indices[n]) for n in group.members]
             # a pricing run stages and multiplies nothing
-            if numerics and group.use_bmm and exact_bmm:
-                # materialize the padded batch exactly as the GPU kernel would
-                m_pad = max(sizes)
-                batch = np.zeros((len(group.members), m_pad, c_in), dtype=x.dtype)
-                for bi, n in enumerate(group.members):
-                    batch[bi, : sizes[bi]] = x[kmap.in_indices[n]]
-                    # fault-injection site: flips in the staged batch,
-                    # restricted to the unpadded rows — a hit in a
-                    # zero-padding row is sliced off before scatter and
-                    # would make the shot undetectable by construction
-                    maybe_bitflip_features(
-                        batch[bi, : sizes[bi]], site=f"gather.o{n}"
-                    )
-                stacked = np.stack([w[n] for n in group.members])
-                partial = np.matmul(batch, stacked).astype(np.float32, copy=False)
-                for bi, n in enumerate(group.members):
-                    pm = partial[bi, : sizes[bi]]
-                    if integrity is not None:
-                        idx = kmap.in_indices[n]
-                        src = integrity.source_checksum(x, idx)
-                        integrity.check_buffer(
-                            batch[bi, : sizes[bi]], src, f"gather.o{n}"
-                        )
-                        integrity.check_matmul(
-                            pm, src, w[n], sizes[bi], f"matmul.o{n}"
-                        )
-                        integrity.absorb(pm)
-                    acc[kmap.out_indices[n]] += pm
-            elif numerics:
-                # zero-padding cannot change the products, so the per-member
-                # path is numerically identical to bmm and much faster here
+            if numerics:
+                # zero-padding cannot change the products, so a bmm group
+                # is computed per member and only its *cost* is the
+                # padded bmm's
                 for n in group.members:
                     idx = kmap.in_indices[n]
                     gathered = np.take(x, idx, axis=0)

@@ -42,7 +42,6 @@ from repro.obs.timeline import (
     SLOWindow,
     TimelineRecorder,
     load_journal,
-    replay_qos_mix,
     validate_journal,
     windowed_slo,
     worst_burn,
@@ -54,7 +53,6 @@ __all__ = [
     "SLOWindow",
     "TimelineRecorder",
     "load_journal",
-    "replay_qos_mix",
     "validate_journal",
     "windowed_slo",
     "worst_burn",

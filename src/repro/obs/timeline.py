@@ -557,35 +557,6 @@ def request_timeline(events: list, request: int) -> list:
     return [e for e in events if e.get("request") == request]
 
 
-def replay_qos_mix(events: list) -> dict:
-    """Reconstruct the served QoS mix purely from the journal.
-
-    Walks the events in order, tracking the fleet QoS rung through
-    ``qos_change`` events, and credits every dispatched request to the
-    rung of its *last* dispatch (a retry or hedge restamps — the final
-    result is what was served at).  Dispatch events that carry an
-    explicit ``qos`` attr use it directly; older journals fall back to
-    the tracked fleet rung.  The result must equal the campaign
-    report's ``qos_mix`` for the served requests — the replay check the
-    brownout acceptance gate runs.
-    """
-    current = "full"
-    served: dict = {}
-    for e in events:
-        kind = e.get("kind")
-        if kind == "qos_change":
-            current = e.get("attrs", {}).get("rung") or current
-        elif (
-            kind in ("dispatch", "batch_dispatch")
-            and e.get("request") is not None
-        ):
-            served[e["request"]] = e.get("attrs", {}).get("qos", current)
-    mix: dict = {}
-    for rung in served.values():
-        mix[rung] = mix.get(rung, 0) + 1
-    return mix
-
-
 # -- windowed SLO monitor --------------------------------------------------
 
 

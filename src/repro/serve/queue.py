@@ -36,8 +36,6 @@ class AdmissionQueue:
         self.capacity = capacity
         self.on_shed = on_shed
         self._q: deque = deque()
-        #: requests shed by this queue, in shed order
-        self.shed: list = []
 
     def __len__(self) -> int:
         return len(self._q)
@@ -47,9 +45,7 @@ class AdmissionQueue:
         return len(self._q)
 
     def _shed(self, req: Request, reason: str, now: float) -> None:
-        req.shed_reason = reason
-        req.resolve(SHED, now)
-        self.shed.append(req)
+        req.resolve(SHED)
         if self.on_shed is not None:
             self.on_shed(req, reason, now)
 

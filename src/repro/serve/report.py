@@ -6,12 +6,13 @@ so ``repro-bench serve`` and ``ShardResult.p99`` quote comparable
 numbers.
 
 The journal is the ledger: :func:`fold_journal` derives the report's
-tallies and every ``serve.*`` counter and histogram from one in-order
-pass over a campaign's events.
+per-request rows, its tallies and every ``serve.*`` counter and
+histogram from one in-order pass over a campaign's events.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.obs.timeline import windowed_slo, worst_burn
@@ -20,11 +21,108 @@ from repro.serve.request import (
     COMPLETED,
     DEADLINE_EXCEEDED,
     FAILED,
+    QUEUED,
     SHED,
     TERMINAL_STATES,
 )
 
 SERVE_SCHEMA = "repro-bench.serve/1"
+
+
+@dataclass
+class RequestRecord:
+    """One request's report row, folded from its journal events.
+
+    Identity comes from ``arrival``, ``retries`` from
+    ``retry_scheduled``, devices, batch ids, the hedge flag and the QoS
+    rung from the dispatch slices, the hedge win and integrity outcomes
+    from ``attempt_finish``, and state, finish, error and shed reason
+    from ``terminal``.
+    """
+
+    id: int
+    model: str
+    arrival: float
+    deadline: float
+    scene: int = 0
+    #: campaign-unique causal-trace id (``{seed:08x}-{id:06d}``)
+    trace_id: str = ""
+    #: ``queued`` until the request's ``terminal`` event
+    state: str = QUEUED
+    #: retries consumed (primary dispatch not counted)
+    retries: int = 0
+    hedged: bool = False
+    #: the hedge duplicate, not the primary, produced the result
+    hedge_won: bool = False
+    finish: float | None = None
+    shed_reason: str = ""
+    error: str = ""
+    #: device labels in dispatch order (probes excluded)
+    devices: list = field(default_factory=list)
+    #: batch id per dispatched attempt, aligned with ``devices`` (hedge
+    #: duplicates reuse the primary's batch id); empty when batching is
+    #: off
+    batches: list = field(default_factory=list)
+    #: attempts that finished but failed ABFT verification (each counts
+    #: toward the device breaker and this request's retry budget)
+    integrity_failures: int = 0
+    #: a corrupted result was *delivered* — only possible with fleet
+    #: verification off (the silent-data-corruption hole)
+    corrupted: bool = False
+    #: QoS level/rung of the request's final dispatch; 0/"full" when
+    #: the campaign runs without brownout
+    qos_level: int = 0
+    qos_rung: str = "full"
+
+    @property
+    def terminal(self) -> bool:
+        return self.state in TERMINAL_STATES
+
+    @property
+    def fault_rung(self) -> str:
+        """Fault-ladder rung that produced the delivered result.
+
+        In the serve simulation the only per-request fault degradation
+        is the integrity path: a caught corruption recomputes at the
+        numeric rung (``fp32-scalar``), everything else serves at full.
+        Reported next to ``qos_rung`` so the fault-degradation mix and
+        the brownout QoS mix sit side by side.
+        """
+        return "fp32-scalar" if self.integrity_failures else "full"
+
+    @property
+    def latency(self) -> float | None:
+        """End-to-end seconds from arrival to finish (None if unfinished)."""
+        return None if self.finish is None else self.finish - self.arrival
+
+    def to_json(self) -> dict:
+        out = {
+            "id": self.id,
+            "model": self.model,
+            "arrival": self.arrival,
+            "deadline": self.deadline,
+            "scene": self.scene,
+            "trace_id": self.trace_id,
+            "state": self.state,
+            "retries": self.retries,
+            "hedged": self.hedged,
+            "hedge_won": self.hedge_won,
+            "finish": self.finish,
+            "latency": self.latency,
+            "shed_reason": self.shed_reason,
+            "error": self.error,
+            "devices": list(self.devices),
+            "integrity_failures": self.integrity_failures,
+            "corrupted": self.corrupted,
+            "qos_level": self.qos_level,
+            "qos_rung": self.qos_rung,
+            "fault_rung": self.fault_rung,
+        }
+        # present only for batched campaigns: batching=None reports
+        # stay byte-exact with pre-batching runs
+        if self.batches:
+            out["batches"] = list(self.batches)
+        return out
 
 
 @dataclass
@@ -35,6 +133,8 @@ class Ledger:
     can never disagree.
     """
 
+    #: one :class:`RequestRecord` per arrival, in request-id order
+    requests: list = field(default_factory=list)
     #: (metric name, label items) -> counter total
     counters: dict = field(default_factory=dict)
     #: metric name -> histogram observations, in journal order
@@ -57,6 +157,7 @@ class Ledger:
         """Keyword arguments of :class:`ServeReport` this ledger fills."""
         sizes = self.histograms.get("serve.batch_size", [])
         return dict(
+            requests=self.requests,
             retries=self.total("serve.retries"),
             hedges_launched=self.total("serve.hedges", outcome="launched"),
             hedges_won=self.total("serve.hedges", outcome="won"),
@@ -96,6 +197,8 @@ def fold_journal(events) -> Ledger:
     :func:`~repro.obs.timeline.load_journal` alike.  Attempt-level
     metrics count an attempt once, on its first member slice.  Health
     probes (events with no request) count only as ``serve.probes``.
+    The same pass builds each request's :class:`RequestRecord`, and
+    the arrival, retry and terminal-state tallies are counted off them.
     """
     led = Ledger()
     counters, histograms = led.counters, led.histograms
@@ -107,29 +210,43 @@ def fold_journal(events) -> Ledger:
     def observe(name: str, value: float) -> None:
         histograms.setdefault(name, []).append(value)
 
-    arrived: dict = {}  # request -> arrival time
-    running: dict = {}  # attempt -> (dispatch time, is a hedge)
+    rows: dict = {}  # request -> its RequestRecord
+    running: dict = {}  # attempt -> dispatch time
+    hedges: set = set()  # attempts that are hedge duplicates
+    level = 0  # the fleet's QoS level
     for e in events:
-        kind, req, dev = e["kind"], e["request"], e["device"]
-        attrs = e["attrs"]
+        kind = e["kind"]
+        if kind == "dequeue":
+            continue  # queue waits are read off the primary dispatch
+        req, dev, attrs = e["request"], e["device"], e["attrs"]
         if kind == "arrival":
-            arrived[req] = e["t"]
-            count("serve.arrivals")
+            rows[req] = RequestRecord(
+                req, attrs["model"], e["t"], attrs["deadline"],
+                attrs["scene"], attrs["trace"],
+            )
         elif kind == "admit":
-            count("serve.admitted")
             observe("serve.queue_depth", e["queue_depth"])
         elif kind in ("dispatch", "batch_dispatch"):
             if req is None:
                 continue  # a health probe
+            row = rows[req]
+            row.devices.append(dev)
             member_kind = attrs["kind"]
+            hedge = member_kind == "hedge"
             if member_kind == "primary":
-                observe("serve.wait_ms", (e["t"] - arrived[req]) * 1e3)
+                observe("serve.wait_ms", (e["t"] - row.arrival) * 1e3)
+            elif hedge:
+                row.hedged = True
+            if kind == "batch_dispatch":
+                row.batches.append(attrs["batch"])
             if "qos" in attrs:
                 count("serve.qos_dispatches", rung=attrs["qos"])
+                row.qos_level, row.qos_rung = level, attrs["qos"]
             if e["attempt"] in running:
                 continue  # a further member slice of this attempt
-            hedge = member_kind == "hedge"
-            running[e["attempt"]] = (e["t"], hedge)
+            running[e["attempt"]] = e["t"]
+            if hedge:
+                hedges.add(e["attempt"])
             if kind == "batch_dispatch":
                 observe("serve.batch_size", attrs["size"])
                 count("serve.dispatches", kind="hedge" if hedge else "batch")
@@ -146,14 +263,19 @@ def fold_journal(events) -> Ledger:
                 count("serve.probes", device=dev,
                       result="ok" if outcome == "ok" else "fail")
                 continue
+            row = rows[req]
+            hedge = e["attempt"] in hedges
             if outcome == "ok":
                 led.completed[dev] = led.completed.get(dev, 0) + 1
+                row.hedge_won = hedge
                 if attrs["corrupted"]:
                     count("serve.corrupted_completions", device=dev)
-            started = running.pop(e["attempt"], None)
-            if started is None:
+                    row.corrupted = True
+            elif outcome == "integrity_fail":
+                row.integrity_failures += 1
+            t0 = running.pop(e["attempt"], None)
+            if t0 is None:
                 continue  # a further member slice of this attempt
-            t0, hedge = started
             if outcome == "ok":
                 observe("serve.service_ms", (e["t"] - t0) * 1e3)
                 if hedge:
@@ -165,16 +287,15 @@ def fold_journal(events) -> Ledger:
             else:
                 count("serve.integrity_failures", device=dev)
         elif kind == "terminal":
-            state = attrs["state"]
-            if state == SHED:
-                count("serve.shed", reason=attrs["reason"])
-            else:
-                count(f"serve.{state}")
+            row = rows[req]
+            row.state, row.finish = attrs["state"], e["t"]
+            row.error = attrs.get("error", "")
+            row.shed_reason = attrs.get("reason", "")
             if "latency" in attrs:
                 # only a finished attempt stamps the end-to-end latency
                 observe("serve.latency_ms", attrs["latency"] * 1e3)
         elif kind == "retry_scheduled":
-            count("serve.retries")
+            rows[req].retries += 1
         elif kind == "retry_denied":
             count("serve.retry_denied", reason=attrs["reason"])
         elif kind == "hedge_skip":
@@ -210,12 +331,30 @@ def fold_journal(events) -> Ledger:
                 led.replacements[-1]["warm_start"] = True
                 led.replacements[-1]["inherited_frames"] = attrs["frames"]
         elif kind == "qos_change":
+            level = attrs["level"]
             count("serve.qos_changes", direction=attrs["direction"])
             led.qos_changes.append(dict(
                 t=e["t"], level=attrs["level"], rung=attrs["rung"],
                 direction=attrs["direction"], queue_depth=e["queue_depth"],
                 burn=attrs["burn"],
             ))
+    led.requests = sorted(rows.values(), key=lambda row: row.id)
+    if rows:
+        count("serve.arrivals", len(rows))
+    if "serve.queue_depth" in histograms:
+        # one queue-depth sample per admission
+        count("serve.admitted", len(histograms["serve.queue_depth"]))
+    retries = sum(row.retries for row in led.requests)
+    if retries:
+        count("serve.retries", retries)
+    ends = Counter(
+        (row.state, row.shed_reason) for row in led.requests if row.terminal
+    )
+    for (state, reason), n in ends.items():
+        if state == SHED:
+            count("serve.shed", n, reason=reason)
+        else:
+            count(f"serve.{state}", n)
     return led
 
 
@@ -223,6 +362,7 @@ def fold_journal(events) -> Ledger:
 class ServeReport:
     """Everything a finished campaign produced."""
 
+    #: one :class:`RequestRecord` per request, folded from the journal
     requests: list = field(default_factory=list)
     #: label -> {state, crashes, probes, quarantines}
     fleet: dict = field(default_factory=dict)
@@ -717,19 +857,23 @@ def format_serve_report(report: ServeReport, title: str) -> str:
         )
     elif report.spares:
         lines.append(f"spares: {report.spares} armed, none needed")
-    # a domain without a breaker (a singleton, or the defense off) has
-    # no summary: it reads as never out
+    # a domain has a breaker (outages, availability) only when the
+    # defense is on and it held two or more devices at the start; a
+    # defended fleet with domains has one such domain at least, so an
+    # empty summary means the defense is off
     domains = list(report.domains.values())
     for name in sorted(set(domains)):
-        d = report.domain_summary.get(name) or dict(
-            members=domains.count(name), outages=0, mass_quarantined=0,
-            availability=1.0,
-        )
-        lines.append(
-            f"domain {name}: {d['members']} devices, {d['outages']} outages, "
-            f"{d['mass_quarantined']} mass-quarantined, "
-            f"availability {d['availability']:.1%}"
-        )
+        d = report.domain_summary.get(name)
+        if d is not None:
+            facts = (
+                f"{d['outages']} outages, {d['mass_quarantined']} "
+                f"mass-quarantined, availability {d['availability']:.1%}"
+            )
+        elif report.domain_summary:
+            facts = "no breaker (singleton at start)"
+        else:
+            facts = "no breaker (domain defense off)"
+        lines.append(f"domain {name}: {domains.count(name)} devices, {facts}")
     if report.storm:
         lines.append(
             f"storm defense: amplification {report.amplification:.2f}x "

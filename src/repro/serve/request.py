@@ -23,7 +23,7 @@ final sweep guarantees nothing is left in them when a campaign ends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.robust.errors import ConfigError
 
@@ -41,7 +41,11 @@ TERMINAL_STATES = (COMPLETED, SHED, DEADLINE_EXCEEDED, FAILED)
 
 @dataclass
 class Request:
-    """One inference request flowing through the serving layer."""
+    """One inference request flowing through the serving layer.
+
+    It holds only what scheduling reads; the report's row for it is a
+    :class:`~repro.serve.report.RequestRecord` folded from the journal.
+    """
 
     id: int
     model: str
@@ -51,61 +55,18 @@ class Request:
     #: voxelize to the same coordinates (temporal coherence), so a
     #: device that already served the scene has its mapping cached
     scene: int = 0
-    #: campaign-unique causal-trace id (``{seed:08x}-{id:06d}``),
-    #: stamped by the server at arrival; every campaign journals, so
-    #: it is empty only on a request that never reached a server
-    trace_id: str = ""
     state: str = QUEUED
     #: retries consumed (primary dispatch not counted)
     retries: int = 0
     #: attempts currently on a device (1 normally, 2 while hedged)
     in_flight: int = 0
     hedged: bool = False
-    #: the hedge duplicate, not the primary, produced the result
-    hedge_won: bool = False
-    finish: float | None = None
-    shed_reason: str = ""
-    error: str = ""
-    #: device labels in dispatch order (probes excluded)
-    devices: list = field(default_factory=list)
-    #: batch id per dispatched attempt, aligned with ``devices`` — the
-    #: batching scheduler stamps every attempt (hedge duplicates reuse
-    #: the primary's batch id); empty when batching is off
-    batches: list = field(default_factory=list)
-    #: attempts that finished but failed ABFT verification (each counts
-    #: toward the device breaker and this request's retry budget)
-    integrity_failures: int = 0
-    #: a corrupted result was *delivered* — only possible with fleet
-    #: verification off (the silent-data-corruption hole)
-    corrupted: bool = False
-    #: QoS level/rung this request was served at (stamped from the
-    #: brownout controller at its final dispatch); 0/"full" when the
-    #: campaign runs without brownout
-    qos_level: int = 0
-    qos_rung: str = "full"
 
     @property
     def terminal(self) -> bool:
         return self.state in TERMINAL_STATES
 
-    @property
-    def fault_rung(self) -> str:
-        """Fault-ladder rung that produced the delivered result.
-
-        In the serve simulation the only per-request fault degradation
-        is the integrity path: a caught corruption recomputes at the
-        numeric rung (``fp32-scalar``), everything else serves at full.
-        Reported next to ``qos_rung`` so the fault-degradation mix and
-        the brownout QoS mix sit side by side.
-        """
-        return "fp32-scalar" if self.integrity_failures else "full"
-
-    @property
-    def latency(self) -> float | None:
-        """End-to-end seconds from arrival to finish (None if unfinished)."""
-        return None if self.finish is None else self.finish - self.arrival
-
-    def resolve(self, state: str, now: float | None = None) -> None:
+    def resolve(self, state: str) -> None:
         """Move to a terminal state exactly once."""
         if state not in TERMINAL_STATES:
             raise ValueError(f"{state!r} is not a terminal state")
@@ -114,37 +75,6 @@ class Request:
                 f"request {self.id} already terminal ({self.state})"
             )
         self.state = state
-        if now is not None:
-            self.finish = now
-
-    def to_json(self) -> dict:
-        out = {
-            "id": self.id,
-            "model": self.model,
-            "arrival": self.arrival,
-            "deadline": self.deadline,
-            "scene": self.scene,
-            "trace_id": self.trace_id,
-            "state": self.state,
-            "retries": self.retries,
-            "hedged": self.hedged,
-            "hedge_won": self.hedge_won,
-            "finish": self.finish,
-            "latency": self.latency,
-            "shed_reason": self.shed_reason,
-            "error": self.error,
-            "devices": list(self.devices),
-            "integrity_failures": self.integrity_failures,
-            "corrupted": self.corrupted,
-            "qos_level": self.qos_level,
-            "qos_rung": self.qos_rung,
-            "fault_rung": self.fault_rung,
-        }
-        # present only for batched campaigns: batching=None reports
-        # stay byte-exact with pre-batching runs
-        if self.batches:
-            out["batches"] = list(self.batches)
-        return out
 
 
 @dataclass(frozen=True)

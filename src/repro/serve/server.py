@@ -573,12 +573,10 @@ class Server:
 
     def _on_arrival(self, req_id: int) -> None:
         req = self._req(req_id)
-        if not req.trace_id:
-            req.trace_id = f"{self.config.seed & 0xFFFFFFFF:08x}-{req.id:06d}"
         self._emit(
             "arrival", req,
             model=req.model, scene=req.scene, deadline=req.deadline,
-            trace=req.trace_id,
+            trace=f"{self.config.seed & 0xFFFFFFFF:08x}-{req.id:06d}",
         )
         if self.queue.offer(req, self.now):
             self._emit("admit", req, retries=req.retries)
@@ -797,12 +795,7 @@ class Server:
                 self._persist_frame(frame)
         quality = None
         if self.brownout is not None:
-            # the fleet's current rung; restamped per dispatch so each
-            # member reports the level that produced its final result
             quality = self._qualities[self.brownout.level]
-            for m in members:
-                m.qos_level = self.brownout.level
-                m.qos_rung = self.brownout.rung
         base = self.oracle.batch_latency(
             members[0].model, w.spec, n, warm=warm, quality=quality
         )
@@ -810,9 +803,6 @@ class Server:
         for m in members:
             m.state = RUNNING
             m.in_flight += 1
-            m.devices.append(w.label)
-            if batched:
-                m.batches.append(batch_id)
             self._live.setdefault(m.id, []).append(attempt.id)
             # the member's journal kind and causal parent: a hedge
             # links to the hedged attempt, a retry to its last failure
@@ -827,7 +817,9 @@ class Server:
             if self.config.steady_state:
                 attrs["warm"] = warm
             if self.brownout is not None:
-                attrs["qos"] = m.qos_rung
+                # the fleet's current rung, per member slice: the
+                # report credits each request to its final dispatch
+                attrs["qos"] = self.brownout.rung
             if mparent is not None:
                 attrs["parent"] = mparent
             self._emit(
@@ -990,8 +982,6 @@ class Server:
         else:
             reason = "result failed integrity verification"
         for m in a.members:
-            if outcome == "integrity_fail":
-                m.integrity_failures += 1
             self._last_failed[m.id] = a.id
             self._emit(
                 "attempt_finish", m,
@@ -1044,14 +1034,14 @@ class Server:
                 if denial == "deadline":
                     # a doomed retry is a deadline miss we already know
                     # about — resolve it now instead of burning a slot
-                    req.error = "retry denied: insufficient deadline slack"
-                    req.resolve(DEADLINE_EXCEEDED, self.now)
-                    self._emit("terminal", req, state=DEADLINE_EXCEEDED,
-                               error=req.error)
+                    req.resolve(DEADLINE_EXCEEDED)
+                    self._emit(
+                        "terminal", req, state=DEADLINE_EXCEEDED,
+                        error="retry denied: insufficient deadline slack",
+                    )
                     return
                 # budget denial falls through to FAILED
-        req.error = reason
-        req.resolve(FAILED, self.now)
+        req.resolve(FAILED)
         self._emit("terminal", req, state=FAILED, error=reason)
 
     def _storm_denies_retry(self, req: Request, delay: float):
@@ -1116,19 +1106,16 @@ class Server:
                     outcome="cancelled",
                 )
         for m in members:
-            if a.kind == "hedge":
-                m.hedge_won = True
-            if a.will_corrupt:
-                # verification off: the SDC hole ships to every member
-                m.corrupted = True
+            latency = self.now - m.arrival
             if self.now <= m.deadline:
-                m.resolve(COMPLETED, self.now)
-                self._emit("terminal", m, state=COMPLETED,
-                           latency=m.latency, corrupted=m.corrupted)
+                m.resolve(COMPLETED)
+                # verification off: the SDC hole ships to every member
+                self._emit("terminal", m, state=COMPLETED, latency=latency,
+                           corrupted=bool(a.will_corrupt))
             else:
-                m.resolve(DEADLINE_EXCEEDED, self.now)
+                m.resolve(DEADLINE_EXCEEDED)
                 self._emit("terminal", m, state=DEADLINE_EXCEEDED,
-                           latency=m.latency)
+                           latency=latency)
 
     def _on_qos_tick(self, _ref) -> None:
         """One brownout-controller tick: observe the window, maybe step.
@@ -1318,22 +1305,21 @@ class Server:
     def _final_sweep(self) -> None:
         """Force every survivor into a terminal state (liveness)."""
         for req in self.queue.drain():
-            req.shed_reason = "no_capacity"
-            req.resolve(SHED, self.now)
+            req.resolve(SHED)
             self._emit("terminal", req, state=SHED, reason="no_capacity")
         for req in self._requests:
             if not req.terminal:
-                req.error = req.error or "stranded at campaign end"
-                req.resolve(FAILED, self.now)
-                self._emit("terminal", req, state=FAILED, error=req.error)
+                req.resolve(FAILED)
+                self._emit("terminal", req, state=FAILED,
+                           error="stranded at campaign end")
 
     # -- report --------------------------------------------------------------
 
     def _report(self, ledger) -> ServeReport:
-        """The campaign report: the ledger's tallies plus policy state."""
+        """The campaign report: the ledger's rows and tallies plus
+        policy state."""
         return ServeReport(
             **ledger.report_fields(),
-            requests=list(self._requests),
             fleet=self.health.summary(),
             utilization={
                 w.label: {

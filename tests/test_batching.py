@@ -163,14 +163,18 @@ class TestQueueCoalescingPrimitives:
         assert len(q) == 3
 
     def test_take_matching_sheds_expired_first(self):
-        q = AdmissionQueue(capacity=16)
+        sheds = []
+        q = AdmissionQueue(
+            capacity=16,
+            on_shed=lambda req, reason, now: sheds.append((req.id, reason)),
+        )
         dead = Request(id=0, model="m", arrival=0.0, deadline=0.1)
         live = Request(id=1, model="m", arrival=0.0, deadline=9.0)
         q.offer(dead, 0.0)
         q.offer(live, 0.0)
         taken = q.take_matching(lambda r: True, limit=8, now=1.0)
         assert [r.id for r in taken] == [1]
-        assert dead.state == "shed" and dead.shed_reason == "expired"
+        assert dead.state == "shed" and sheds == [(0, "expired")]
 
 
 class TestDeadlineSafety:

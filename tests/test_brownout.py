@@ -17,7 +17,7 @@ from repro.gpu.memory import DType
 from repro.obs.metrics import MetricsRegistry, use_registry
 from repro.obs.timeline import (
     TimelineRecorder,
-    replay_qos_mix,
+    load_journal,
     validate_journal,
 )
 from repro.robust.brownout import BrownoutConfig, BrownoutController
@@ -40,6 +40,7 @@ from repro.serve import (
     generate_arrivals,
     run_serve_campaign,
 )
+from repro.serve.report import ServeReport, fold_journal
 
 LAT = {"m": 0.004, "big": 0.012}
 DEVICES = (RTX_2080TI, RTX_2080TI, RTX_3090)
@@ -429,7 +430,7 @@ class TestTrafficShapes:
         """shape='poisson' must take the exact pre-shape RNG path."""
         a = generate_arrivals(make_traffic(), lambda m: 0.1)
         b = generate_arrivals(make_traffic(shape="poisson"), lambda m: 0.1)
-        assert [r.to_json() for r in a] == [r.to_json() for r in b]
+        assert a == b
 
     def test_flash_concentrates_arrivals(self):
         cfg = make_traffic(
@@ -490,7 +491,7 @@ class TestTrafficShapes:
             kw = {"models": ("m", "big")} if shape == "tenants" else {}
             a = generate_arrivals(make_traffic(shape=shape, **kw), lambda m: 0.1)
             b = generate_arrivals(make_traffic(shape=shape, **kw), lambda m: 0.1)
-            assert [r.to_json() for r in a] == [r.to_json() for r in b]
+            assert a == b
 
 
 # -- oracle pricing --------------------------------------------------------
@@ -583,16 +584,24 @@ class TestBrownoutServing:
         )
         assert "fault_rung" in blob["requests"][0]
 
-    def test_journal_qos_events_validate_and_replay(self):
+    def test_journal_qos_events_validate_and_replay(self, tmp_path):
         report, recorder, _ = flash_campaign(BrownoutConfig())
         assert validate_journal(recorder.header(), recorder.events) == []
         changes = [
             e for e in recorder.events if e["kind"] == "qos_change"
         ]
         assert len(changes) == len(report.qos_changes) > 0
-        replayed = replay_qos_mix(recorder.events)
-        served = {k: v for k, v in report.qos_mix.items() if v}
-        assert replayed == served
+        # the journal file alone rebuilds the served QoS mix
+        path = tmp_path / "events.jsonl"
+        recorder.write(str(path))
+        _, events = load_journal(str(path))
+        replayed = ServeReport(
+            requests=fold_journal(events).requests,
+            qos_rungs=report.qos_rungs,
+        )
+        assert (replayed.qos_mix, replayed.degraded_fraction) == (
+            report.qos_mix, report.degraded_fraction
+        )
 
     def test_journal_flags_rung_skips(self):
         rec = TimelineRecorder()

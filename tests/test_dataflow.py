@@ -115,21 +115,37 @@ class TestNumericsVsReferences:
         EXACT_FP32.assert_close(got, base)
 
     def test_exact_bmm_equals_per_member(self):
-        """Zero padding cannot change the products."""
+        """Zero padding cannot change the products: the engine's
+        per-member numerics equal a padded batched matmul per bmm group."""
         coords, feats, weights = random_instance(seed=5)
         index = CoordIndex.build(coords, backend="hash")
         kmap = build_kmap(coords, index, coords, 3)
         plan = make_plan("adaptive", kmap.sizes, 3, 1, epsilon=1.0,
                          s_threshold=np.inf)
-        outs = []
-        for exact in (False, True):
-            outs.append(
-                execute_gather_matmul_scatter(
-                    feats, weights, kmap, plan, MovementConfig(), RTX_2080TI,
-                    Profile(), exact_bmm=exact,
-                )
+        assert any(g.use_bmm and len(set(
+            kmap.sizes[n] for n in g.members)) > 1 for g in plan.groups)
+        got = execute_gather_matmul_scatter(
+            feats, weights, kmap, plan, MovementConfig(), RTX_2080TI,
+            Profile(),
+        )
+        # the oracle stages each group as the GPU bmm kernel would:
+        # members zero-padded to the longest, one np.matmul per group
+        want = np.zeros_like(got)
+        center = kmap.center_index
+        want[kmap.out_indices[center]] += (
+            feats[kmap.in_indices[center]] @ weights[center]
+        )
+        for group in plan.groups:
+            sizes = [len(kmap.in_indices[n]) for n in group.members]
+            batch = np.zeros(
+                (len(sizes), max(sizes), feats.shape[1]), dtype=feats.dtype
             )
-        EXACT_FP32.assert_close(outs[0], outs[1])
+            for bi, n in enumerate(group.members):
+                batch[bi, : sizes[bi]] = feats[kmap.in_indices[n]]
+            partial = np.matmul(batch, weights[list(group.members)])
+            for bi, n in enumerate(group.members):
+                want[kmap.out_indices[n]] += partial[bi, : sizes[bi]]
+        EXACT_FP32.assert_close(got, want)
 
     def test_fp16_close_to_fp32(self):
         coords, feats, weights = random_instance(seed=6)

@@ -33,6 +33,7 @@ from repro.serve import (
     RetryPolicy,
     ServeConfig,
     TrafficConfig,
+    format_serve_report,
     run_serve_campaign,
 )
 
@@ -568,6 +569,32 @@ class TestStormDefense:
         assert "serve.domain_outages{domain=rack0}" not in scal
         assert any(k.startswith("serve.quarantines{") for k in scal)
         assert validate_journal(rec.header(), rec.events) == []
+
+    def test_text_view_prints_no_breaker_for_undefended_domains(self):
+        # the outage fires and crashes rack members, but an undefended
+        # fleet tracks no domain outages or availability to print
+        report, _ = campaign(
+            make_config(domain_defense=False), specs=OUTAGE,
+        )
+        assert any(f["crashes"] for f in report.fleet.values())
+        lines = format_serve_report(report, "campaign").splitlines()
+        assert [line for line in lines if line.startswith("domain ")] == [
+            "domain rack0: 2 devices, no breaker (domain defense off)",
+            "domain rack1: 2 devices, no breaker (domain defense off)",
+        ]
+
+    def test_text_view_prints_no_breaker_for_defended_singletons(self):
+        report, _ = campaign(
+            make_config(domains=("rack0", "rack0", "rack0", "solo")),
+            specs=OUTAGE,
+        )
+        lines = format_serve_report(report, "campaign").splitlines()
+        domain_lines = [line for line in lines if line.startswith("domain ")]
+        assert domain_lines[0].startswith("domain rack0: 3 devices, ")
+        assert "availability" in domain_lines[0]
+        assert domain_lines[1] == (
+            "domain solo: 1 devices, no breaker (singleton at start)"
+        )
 
 
 # -- spare placement under a topology -----------------------------------------

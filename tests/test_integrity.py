@@ -284,39 +284,6 @@ class TestFaultSites:
         # the flips landed in the parent buffer, not a throwaway copy
         assert int((arr != 1.0).sum()) == changed
 
-    def test_exact_bmm_flip_lands_in_real_rows(self):
-        # a shot against the padded bmm batch must corrupt rows that
-        # reach the output; a hit in a zero-padding row is sliced off
-        # before scatter and the fired fault becomes undetectable
-        from repro.core.dataflow import (
-            MovementConfig,
-            execute_gather_matmul_scatter,
-        )
-        from repro.core.grouping import make_plan
-        from repro.gpu.timeline import Profile
-        from repro.mapping.kmap import CoordIndex, build_kmap
-
-        coords, feats, w = small_instance()
-        index = CoordIndex.build(coords, backend="hash")
-        kmap = build_kmap(coords, index, coords, 3)
-        plan = make_plan(
-            "adaptive", kmap.sizes, 3, 1, epsilon=1.0, s_threshold=np.inf
-        )
-        assert any(g.use_bmm for g in plan.groups)
-        for seed in range(8):
-            chk = make_checker()
-            inj = FaultInjector(
-                seed=seed,
-                specs=[FaultSpec(kind="bitflip_feature", site="gather")],
-            )
-            with inject_faults(inj):
-                with pytest.raises(IntegrityError):
-                    execute_gather_matmul_scatter(
-                        feats, w, kmap, plan, MovementConfig(), RTX_2080TI,
-                        Profile(), exact_bmm=True, integrity=chk,
-                    )
-            assert inj.shots == 1
-
     def test_sites_are_noops_without_injector(self):
         arr = np.ones((4, 4), dtype=np.float32)
         assert not maybe_bitflip_features(arr)

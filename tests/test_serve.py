@@ -59,12 +59,12 @@ def make_traffic(**kw):
     return TrafficConfig(**defaults)
 
 
-def campaign(config=None, traffic=None, specs=(), seed=7):
+def campaign(config=None, traffic=None, specs=(), seed=7, recorder=None):
     injector = FaultInjector(seed=seed, specs=list(specs)) if specs else None
     with use_registry(MetricsRegistry()) as reg:
         report = run_serve_campaign(
             config or make_config(), traffic or make_traffic(),
-            injector=injector,
+            injector=injector, recorder=recorder,
         )
     return report, reg, injector
 
@@ -72,10 +72,10 @@ def campaign(config=None, traffic=None, specs=(), seed=7):
 class TestRequest:
     def test_resolve_is_single_shot(self):
         r = Request(id=0, model="m", arrival=0.0, deadline=1.0)
-        r.resolve(COMPLETED, 0.5)
-        assert r.terminal and r.latency == 0.5
+        r.resolve(COMPLETED)
+        assert r.terminal and r.state == COMPLETED
         with pytest.raises(RuntimeError):
-            r.resolve(FAILED, 0.6)
+            r.resolve(FAILED)
 
     def test_resolve_rejects_transient_state(self):
         r = Request(id=0, model="m", arrival=0.0, deadline=1.0)
@@ -105,24 +105,34 @@ class TestAdmissionQueue:
     def _req(self, i, deadline=10.0):
         return Request(id=i, model="m", arrival=0.0, deadline=deadline)
 
+    def _observed(self, capacity):
+        """A queue whose ``on_shed`` observer logs (id, reason, now)."""
+        sheds = []
+        q = AdmissionQueue(
+            capacity=capacity,
+            on_shed=lambda req, reason, now: sheds.append(
+                (req.id, reason, now)
+            ),
+        )
+        return q, sheds
+
     def test_reject_on_full(self):
-        q = AdmissionQueue(capacity=2)
+        q, sheds = self._observed(2)
         assert q.offer(self._req(0), 0.0)
         assert q.offer(self._req(1), 0.0)
         r = self._req(2)
         assert not q.offer(r, 0.0)
-        assert r.state == SHED and r.shed_reason == "queue_full"
-        assert q.shed == [r]
+        assert r.state == SHED and sheds == [(2, "queue_full", 0.0)]
 
     def test_expired_evicted_before_reject(self):
         with use_registry(MetricsRegistry()):
-            q = AdmissionQueue(capacity=1)
+            q, sheds = self._observed(1)
             dead = self._req(0, deadline=1.0)
             assert q.offer(dead, 0.0)
             live = self._req(1, deadline=10.0)
             # at t=2 the queued request is expired: it is shed, not live
             assert q.offer(live, 2.0)
-        assert dead.state == SHED and dead.shed_reason == "expired"
+        assert dead.state == SHED and sheds == [(0, "expired", 2.0)]
         assert live.state == "queued"
 
     def test_shed_expired_oldest_first(self):
@@ -226,7 +236,7 @@ class TestTraffic:
     def test_seeded_determinism(self):
         a = generate_arrivals(make_traffic(), lambda m: 0.1)
         b = generate_arrivals(make_traffic(), lambda m: 0.1)
-        assert [r.to_json() for r in a] == [r.to_json() for r in b]
+        assert a == b
 
     def test_queue_spike_adds_burst(self):
         base = generate_arrivals(make_traffic(), lambda m: 0.1)
@@ -283,19 +293,23 @@ class TestServeCampaign:
         assert reg.scalars()["serve.completed"] == report.total
 
     def test_every_request_exactly_one_terminal_state(self):
+        from repro.obs.timeline import TimelineRecorder, validate_journal
+
         specs = [
             FaultSpec(kind="device_crash", count=6),
             FaultSpec(kind="device_stall", site="RTX 3090", count=-1,
                       severity=0.1),
             FaultSpec(kind="queue_spike", count=2),
         ]
-        report, _, inj = campaign(specs=specs)
+        rec = TimelineRecorder()
+        report, _, inj = campaign(specs=specs, recorder=rec)
         assert inj.shots > 0
         assert report.all_terminal
         assert sum(report.outcomes.values()) == report.total
         for r in report.requests:
             assert r.state in TERMINAL_STATES
-            assert r.in_flight == 0
+        # nothing left on a device: every attempt slice was closed
+        assert validate_journal(rec.header(), rec.events) == []
 
     def test_bit_for_bit_reproducible_under_chaos(self):
         specs = lambda: [  # noqa: E731 — fresh specs per run (mutable count)
@@ -411,7 +425,7 @@ class TestServeCampaign:
         (aid,) = server._attempts
         # the request resolves before its hedge timer fires — the
         # stale timer must not launch (or journal) anything
-        req.resolve(COMPLETED, 0.001)
+        req.resolve(COMPLETED)
         server._on_hedge(aid)
         assert list(server._attempts) == [aid]
         assert not req.hedged
@@ -798,11 +812,14 @@ class TestTemporalCoherence:
     def test_coherence_deterministic(self):
         a = generate_arrivals(make_traffic(coherence=0.7), lambda m: 0.1)
         b = generate_arrivals(make_traffic(coherence=0.7), lambda m: 0.1)
-        assert [r.to_json() for r in a] == [r.to_json() for r in b]
+        assert a == b
 
     def test_scene_in_request_json(self):
-        reqs = generate_arrivals(make_traffic(), lambda m: 0.1)
-        assert "scene" in reqs[0].to_json()
+        report, _, _ = campaign(traffic=make_traffic(coherence=0.7))
+        reqs = generate_arrivals(make_traffic(coherence=0.7), lambda m: 0.1)
+        assert [r.to_json()["scene"] for r in report.requests] == [
+            r.scene for r in reqs
+        ]
 
     def test_coherence_validation(self):
         # 1.0 is legal: a fully scene-coherent stream (warm-cache limit)

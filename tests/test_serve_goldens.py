@@ -19,8 +19,8 @@ oracle's pricing.  A refactor of the serve loop must keep every digest.
 The module also checks that ``max_batch=1`` is the unbatched fleet:
 every request ends in the same state, at the same instant, on the same
 devices, with the same retries and hedge flags; that each case's
-journal, written to disk and read back, folds to the report's tallies
-and the registry's ``serve.*`` lines; and that each journal validates
+journal, written to disk and read back, folds to the report's request
+rows, its tallies and the registry's ``serve.*`` lines; and that each journal validates
 and renders one trace slice per attempt, solo or batched.
 
 Regenerate the data file (only when a change of behaviour is intended)
@@ -210,12 +210,16 @@ def test_campaign_matches_golden(case, goldens, campaigns):
 @pytest.mark.parametrize("case", CASES)
 def test_journal_file_folds_to_report_and_metrics(case, campaigns, tmp_path):
     """The journal file alone, float reprs and JSON nulls included,
-    reproduces every tally of the report and every folded metric."""
+    reproduces every request row of the report, every tally and every
+    folded metric."""
     run = campaigns(case)
     path = tmp_path / "events.jsonl"
     run.recorder.write(str(path))
     _, events = load_journal(str(path))
     ledger = fold_journal(events)
+    assert [r.to_json() for r in ledger.requests] == [
+        r.to_json() for r in run.report.requests
+    ]
     fields = ledger.report_fields()
     assert fields == {name: getattr(run.report, name) for name in fields}
     assert ledger.completed == {
