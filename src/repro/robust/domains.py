@@ -146,16 +146,12 @@ class RetryBudget:
     def __init__(self, config: StormConfig) -> None:
         self.config = config
         self.tokens = float(config.retry_budget)
-        self.taken = 0
-        self.denied = 0
 
     def take(self) -> bool:
-        """Spend a token; False (and a denial tally) when broke."""
+        """Spend a token; False when broke."""
         if self.tokens >= 1.0:
             self.tokens -= 1.0
-            self.taken += 1
             return True
-        self.denied += 1
         return False
 
     def credit(self) -> None:

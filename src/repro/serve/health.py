@@ -16,7 +16,12 @@ fleet additionally tracks **domain breakers**: when at least
 ``domain_window`` sim-seconds, the whole domain is declared out — the
 remaining healthy members are *mass-quarantined* in one step instead
 of being discovered one crash (and one wasted dispatch) at a time.
-The breaker closes when any member passes a readmission probe.
+A domain has a breaker while it holds two or more devices, checked
+live, so a spare joining a singleton domain arms one.  The breaker
+closes when any member passes a readmission probe.
+
+This is placement state only: the report's device table and domain
+rows are folded from the journal (:func:`repro.serve.report.fold_journal`).
 """
 
 from __future__ import annotations
@@ -38,10 +43,8 @@ class DeviceHealth:
     label: str
     breaker: CircuitBreaker
     state: str = HEALTHY
-    quarantined_at: float = 0.0
-    crashes: int = 0
+    #: probes counted toward ``max_probes`` (forgiven ones excluded)
     probes: int = 0
-    quarantines: int = 0
 
     @property
     def available(self) -> bool:
@@ -90,19 +93,8 @@ class FleetHealth:
         }
         #: domain -> {label: last failure time} inside the window
         self._domain_failures: dict = {}
-        #: domain -> breaker state (only for correlated, 2+ -member
-        #: domains — singletons are already covered by device breakers)
-        self.domain_state: dict = {}
-        if topology is not None and not topology.trivial:
-            for name in topology.names:
-                if len(topology.members(name)) > 1:
-                    self.domain_state[name] = {
-                        "open": False,
-                        "opened_at": 0.0,
-                        "outages": 0,
-                        "mass_quarantined": 0,
-                        "down_time": 0.0,
-                    }
+        #: domains whose breaker is open
+        self.open_domains: set = set()
 
     def add_device(self, label: str) -> DeviceHealth:
         """Admit a replacement device to the fleet, healthy.
@@ -122,30 +114,25 @@ class FleetHealth:
     def __getitem__(self, label: str) -> DeviceHealth:
         return self.devices[label]
 
-    def mask(self, labels) -> list:
-        """Availability mask aligned with ``labels`` (placement input)."""
-        return [self.devices[label].available for label in labels]
-
-    def record_failure(self, label: str, now: float) -> bool:
+    def record_failure(self, label: str) -> bool:
         """Count a device failure; True when this one quarantined it."""
         dev = self.devices[label]
-        dev.crashes += 1
         dev.breaker.record_failure(recovered_level=1)
         if dev.breaker.open and dev.state == HEALTHY:
             dev.state = QUARANTINED
-            dev.quarantined_at = now
-            dev.quarantines += 1
             return True
         return False
 
     def record_domain_failure(self, label: str, now: float):
         """Feed a device failure to its domain breaker.
 
-        Prunes failure stamps older than ``domain_window``, then — when
-        at least ``domain_threshold`` of the domain's members have
-        failed inside the window (or are already out of service) —
-        opens the domain breaker and mass-quarantines the remaining
-        HEALTHY members in one step.
+        Only a domain that holds two or more devices *now* has a breaker
+        (singletons are covered by their device breaker).  Prunes
+        failure stamps older than ``domain_window``, then — when at
+        least ``domain_threshold`` of the domain's members have failed
+        inside the window (or are already out of service) — opens the
+        domain breaker and mass-quarantines the remaining HEALTHY
+        members in one step.
 
         Returns ``(domain, mass_quarantined_labels)`` when this failure
         opened the breaker, ``None`` otherwise (including every call on
@@ -154,15 +141,14 @@ class FleetHealth:
         if self.topology is None:
             return None
         domain = self.topology.domain_of(label)
-        state = self.domain_state.get(domain)
-        if state is None or state["open"]:
+        members = self.topology.members(domain)
+        if len(members) < 2 or domain in self.open_domains:
             return None
         stamps = self._domain_failures.setdefault(domain, {})
         stamps[label] = now
         cutoff = now - self.domain_window
         for other in [k for k, t in stamps.items() if t < cutoff]:
             del stamps[other]
-        members = self.topology.members(domain)
         failing = sum(
             1
             for m in members
@@ -170,21 +156,13 @@ class FleetHealth:
         )
         if failing / len(members) < self.domain_threshold:
             return None
-        state["open"] = True
-        state["opened_at"] = now
-        state["outages"] += 1
-        swept = []
-        for m in members:
-            dev = self.devices[m]
-            if dev.state == HEALTHY:
-                dev.state = QUARANTINED
-                dev.quarantined_at = now
-                dev.quarantines += 1
-                state["mass_quarantined"] += 1
-                swept.append(m)
+        self.open_domains.add(domain)
+        swept = [m for m in members if self.devices[m].state == HEALTHY]
+        for m in swept:
+            self.devices[m].state = QUARANTINED
         return domain, swept
 
-    def maybe_close_domain(self, label: str, now: float):
+    def maybe_close_domain(self, label: str):
         """Close ``label``'s domain breaker after a readmission.
 
         A member passing its health probe is the evidence the domain's
@@ -194,46 +172,18 @@ class FleetHealth:
         if self.topology is None:
             return None
         domain = self.topology.domain_of(label)
-        state = self.domain_state.get(domain)
-        if state is None or not state["open"]:
+        if domain not in self.open_domains:
             return None
-        state["open"] = False
-        state["down_time"] += now - state["opened_at"]
+        self.open_domains.remove(domain)
         self._domain_failures.pop(domain, None)
         return domain
 
-    @property
-    def any_domain_open(self) -> bool:
-        return any(s["open"] for s in self.domain_state.values())
-
     def domain_open(self, label: str) -> bool:
         """Is ``label``'s domain breaker currently open?"""
-        if self.topology is None:
-            return False
-        state = self.domain_state.get(self.topology.domain_of(label))
-        return bool(state and state["open"])
-
-    def domain_summary(self, end_time: float) -> dict:
-        """domain -> outage/availability summary (for reports).
-
-        Open breakers are closed out at ``end_time`` so availability
-        reflects the full campaign horizon.
-        """
-        out = {}
-        for domain, state in self.domain_state.items():
-            down = state["down_time"]
-            if state["open"]:
-                down += end_time - state["opened_at"]
-            out[domain] = {
-                "members": len(self.topology.members(domain)),
-                "outages": state["outages"],
-                "mass_quarantined": state["mass_quarantined"],
-                "down_time": down,
-                "availability": (
-                    1.0 - down / end_time if end_time > 0 else 1.0
-                ),
-            }
-        return out
+        return (
+            self.topology is not None
+            and self.topology.domain_of(label) in self.open_domains
+        )
 
     def record_success(self, label: str) -> None:
         dev = self.devices[label]
@@ -249,9 +199,7 @@ class FleetHealth:
         dev.state = PROBING
         dev.probes += 1
 
-    def probe_result(
-        self, label: str, ok: bool, now: float, forgive: bool = False
-    ) -> bool:
+    def probe_result(self, label: str, ok: bool, forgive: bool = False) -> bool:
         """Apply a probe outcome; True when the device was readmitted.
 
         With ``forgive`` a *failed* probe does not count toward the
@@ -273,21 +221,4 @@ class FleetHealth:
             dev.state = DEAD
             return False
         dev.state = QUARANTINED
-        dev.quarantined_at = now
         return False
-
-    @property
-    def all_dead(self) -> bool:
-        return all(d.state == DEAD for d in self.devices.values())
-
-    def summary(self) -> dict:
-        """label -> health summary (for reports)."""
-        return {
-            label: {
-                "state": d.state,
-                "crashes": d.crashes,
-                "probes": d.probes,
-                "quarantines": d.quarantines,
-            }
-            for label, d in self.devices.items()
-        }

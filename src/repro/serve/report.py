@@ -6,8 +6,9 @@ so ``repro-bench serve`` and ``ShardResult.p99`` quote comparable
 numbers.
 
 The journal is the ledger: :func:`fold_journal` derives the report's
-per-request rows, its tallies and every ``serve.*`` counter and
-histogram from one in-order pass over a campaign's events.
+per-request rows, its device table, its domain rows, its tallies and
+every ``serve.*`` counter and histogram from one in-order pass over a
+campaign's header and events.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.obs.timeline import windowed_slo, worst_burn
 from repro.profiling.report import format_table, percentile
+from repro.serve.health import DEAD, HEALTHY, PROBING, QUARANTINED
 from repro.serve.request import (
     COMPLETED,
     DEADLINE_EXCEEDED,
@@ -139,8 +141,12 @@ class Ledger:
     counters: dict = field(default_factory=dict)
     #: metric name -> histogram observations, in journal order
     histograms: dict = field(default_factory=dict)
-    #: device label -> requests completed on it
-    completed: dict = field(default_factory=dict)
+    #: the report's device table, busy times and domain rows (see
+    #: :class:`ServeReport`), spares included
+    fleet: dict = field(default_factory=dict)
+    utilization: dict = field(default_factory=dict)
+    domains: dict = field(default_factory=dict)
+    domain_summary: dict = field(default_factory=dict)
     replacements: list = field(default_factory=list)
     qos_changes: list = field(default_factory=list)
 
@@ -158,6 +164,10 @@ class Ledger:
         sizes = self.histograms.get("serve.batch_size", [])
         return dict(
             requests=self.requests,
+            fleet=self.fleet,
+            utilization=self.utilization,
+            domains=self.domains,
+            domain_summary=self.domain_summary,
             retries=self.total("serve.retries"),
             hedges_launched=self.total("serve.hedges", outcome="launched"),
             hedges_won=self.total("serve.hedges", outcome="won"),
@@ -190,22 +200,41 @@ class Ledger:
                 hist.observe(value)
 
 
-def fold_journal(events) -> Ledger:
+def fold_journal(header: dict, events, end_time: float) -> Ledger:
     """One in-order pass over a campaign's events into its :class:`Ledger`.
 
     Works on live events and on a journal read back with
-    :func:`~repro.obs.timeline.load_journal` alike.  Attempt-level
-    metrics count an attempt once, on its first member slice.  Health
-    probes (events with no request) count only as ``serve.probes``.
-    The same pass builds each request's :class:`RequestRecord`, and
-    the arrival, retry and terminal-state tallies are counted off them.
+    :func:`~repro.obs.timeline.load_journal` alike.  ``header`` names
+    the starting fleet (``devices``, ``domains``, ``domain_defense``);
+    spares join on ``device_replaced``.  ``end_time`` closes a domain
+    outage still open at the end.  Attempt-level metrics count an
+    attempt once, on its first member slice.  Health probes (events
+    with no request) count as ``serve.probes`` and feed the device
+    table; a failed probe while its domain is out is forgiven (not
+    counted in ``probes``).  The same pass builds each request's
+    :class:`RequestRecord`, and the arrival, retry and terminal-state
+    tallies are counted off them.
     """
     led = Ledger()
     counters, histograms = led.counters, led.histograms
+    fleet, util, domain_of = led.fleet, led.utilization, led.domains
+    domain_of.update(header["domains"] or {})
+
+    def join(label: str) -> None:
+        fleet[label] = {
+            "state": HEALTHY, "crashes": 0, "probes": 0, "quarantines": 0,
+        }
+        util[label] = {"busy_time": 0.0, "completed": 0}
+
+    for label in header["devices"]:
+        join(label)
 
     def count(name: str, n: int = 1, **labels) -> None:
         key = (name, tuple(labels.items()))
         counters[key] = counters.get(key, 0) + n
+
+    def tally(name: str, **labels) -> int:
+        return counters.get((name, tuple(labels.items())), 0)
 
     def observe(name: str, value: float) -> None:
         histograms.setdefault(name, []).append(value)
@@ -214,6 +243,8 @@ def fold_journal(events) -> Ledger:
     running: dict = {}  # attempt -> dispatch time
     hedges: set = set()  # attempts that are hedge duplicates
     level = 0  # the fleet's QoS level
+    opened: dict = {}  # domain -> time its open breaker opened
+    down: dict = {}  # domain -> down time of its closed outages
     for e in events:
         kind = e["kind"]
         if kind == "dequeue":
@@ -227,8 +258,11 @@ def fold_journal(events) -> Ledger:
         elif kind == "admit":
             observe("serve.queue_depth", e["queue_depth"])
         elif kind in ("dispatch", "batch_dispatch"):
-            if req is None:
-                continue  # a health probe
+            if req is None:  # a health probe
+                running[e["attempt"]] = e["t"]
+                fleet[dev]["state"] = PROBING
+                fleet[dev]["probes"] += 1
+                continue
             row = rows[req]
             row.devices.append(dev)
             member_kind = attrs["kind"]
@@ -259,14 +293,19 @@ def fold_journal(events) -> Ledger:
                 count("serve.hedges", outcome="launched")
         elif kind == "attempt_finish":
             outcome = attrs["outcome"]
-            if req is None:
+            if req is None:  # a health probe
                 count("serve.probes", device=dev,
                       result="ok" if outcome == "ok" else "fail")
+                util[dev]["busy_time"] += e["t"] - running.pop(e["attempt"])
+                if outcome != "ok":
+                    fleet[dev]["state"] = QUARANTINED
+                    if domain_of.get(dev) in opened:
+                        fleet[dev]["probes"] -= 1  # forgiven
                 continue
             row = rows[req]
             hedge = e["attempt"] in hedges
             if outcome == "ok":
-                led.completed[dev] = led.completed.get(dev, 0) + 1
+                util[dev]["completed"] += 1
                 row.hedge_won = hedge
                 if attrs["corrupted"]:
                     count("serve.corrupted_completions", device=dev)
@@ -276,8 +315,10 @@ def fold_journal(events) -> Ledger:
             t0 = running.pop(e["attempt"], None)
             if t0 is None:
                 continue  # a further member slice of this attempt
+            elapsed = e["t"] - t0
+            util[dev]["busy_time"] += elapsed
             if outcome == "ok":
-                observe("serve.service_ms", (e["t"] - t0) * 1e3)
+                observe("serve.service_ms", elapsed * 1e3)
                 if hedge:
                     count("serve.hedges", outcome="won")
             elif outcome == "cancelled":
@@ -306,19 +347,29 @@ def fold_journal(events) -> Ledger:
             count("serve.batches", reason=attrs["reason"])
         elif kind == "quarantine":
             count("serve.quarantines", device=dev)
+            fleet[dev]["state"] = QUARANTINED
         elif kind == "readmit":
             count("serve.readmissions", device=dev)
+            fleet[dev]["state"] = HEALTHY
         elif kind == "device_dead":
             count("serve.dead_devices", device=dev)
+            fleet[dev]["state"] = DEAD
         elif kind == "domain_outage":
             count("serve.domain_outages", domain=attrs["domain"])
             if attrs["swept"]:
                 count("serve.mass_quarantines", attrs["swept"],
                       domain=attrs["domain"])
+            opened[attrs["domain"]] = e["t"]
         elif kind == "domain_recovered":
-            count("serve.domain_recoveries", domain=attrs["domain"])
+            domain = attrs["domain"]
+            count("serve.domain_recoveries", domain=domain)
+            outage = e["t"] - opened.pop(domain)
+            down[domain] = down.get(domain, 0.0) + outage
         elif kind == "device_replaced":
             count("serve.replacements", device=attrs["slot"])
+            join(dev)
+            if domain_of:
+                domain_of[dev] = attrs["domain"]
             led.replacements.append(dict(
                 slot=attrs["slot"], device=dev, t=e["t"], warm_start=False,
                 inherited_frames=0, domain=attrs["domain"],
@@ -355,6 +406,28 @@ def fold_journal(events) -> Ledger:
             count("serve.shed", n, reason=reason)
         else:
             count(f"serve.{state}", n)
+    for label, row in fleet.items():
+        # each failed request attempt is one crash, whatever failed it
+        row["crashes"] = tally("serve.crashes", device=label) + tally(
+            "serve.integrity_failures", device=label
+        )
+        row["quarantines"] = tally("serve.quarantines", device=label)
+    for domain, n in Counter(domain_of.values()).items():
+        # a domain has a breaker while it holds two or more devices
+        if n < 2 or not header["domain_defense"]:
+            continue
+        down_time = down.get(domain, 0.0)
+        if domain in opened:
+            down_time += end_time - opened[domain]
+        led.domain_summary[domain] = dict(
+            members=n,
+            outages=tally("serve.domain_outages", domain=domain),
+            mass_quarantined=tally("serve.mass_quarantines", domain=domain),
+            down_time=down_time,
+            availability=(
+                1.0 - down_time / end_time if end_time > 0 else 1.0
+            ),
+        )
     return led
 
 
@@ -364,7 +437,8 @@ class ServeReport:
 
     #: one :class:`RequestRecord` per request, folded from the journal
     requests: list = field(default_factory=list)
-    #: label -> {state, crashes, probes, quarantines}
+    #: label -> {state, crashes, probes, quarantines}, folded from the
+    #: journal like every field below that :class:`Ledger` fills
     fleet: dict = field(default_factory=dict)
     #: label -> {busy_time, completed}
     utilization: dict = field(default_factory=dict)
@@ -390,7 +464,8 @@ class ServeReport:
     #: device label -> failure domain (empty for trivial topologies)
     domains: dict = field(default_factory=dict)
     #: domain -> {members, outages, mass_quarantined, down_time,
-    #: availability} for every correlated (2+ member) domain
+    #: availability} for every domain with a breaker (defense on, two
+    #: or more devices)
     domain_summary: dict = field(default_factory=dict)
     #: finished attempts that failed ABFT verification (each handled
     #: like a crash: breaker + retry budget)
@@ -858,7 +933,8 @@ def format_serve_report(report: ServeReport, title: str) -> str:
     elif report.spares:
         lines.append(f"spares: {report.spares} armed, none needed")
     # a domain has a breaker (outages, availability) only when the
-    # defense is on and it held two or more devices at the start; a
+    # defense is on and it holds two or more devices; spares only join
+    # domains, so a singleton at the end was one at the start.  A
     # defended fleet with domains has one such domain at least, so an
     # empty summary means the defense is off
     domains = list(report.domains.values())

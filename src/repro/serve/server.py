@@ -553,16 +553,18 @@ class Server:
             self.now = when
             handlers[kind](ref)
         self._final_sweep()
-        ledger = fold_journal(self.recorder.events[first_event:])
+        events = self.recorder.events[first_event:]
+        ledger = fold_journal(self.recorder.header(), events, self.now)
         registry = get_registry()
         ledger.publish(registry)
         # controller state the journal does not carry, as last-value
         # gauges; the retry bucket's only once a granted retry or a
-        # success has touched it
+        # successful attempt has touched it
         if self.brownout is not None:
             registry.gauge("serve.qos_level").set(self.brownout.level)
         budget = self.retry_budget
-        if budget is not None and (budget.taken or ledger.completed):
+        succeeded = "serve.service_ms" in ledger.histograms
+        if budget is not None and (ledger.total("serve.retries") or succeeded):
             registry.gauge("serve.retry_budget_tokens").set(budget.tokens)
         return self._report(ledger)
 
@@ -907,7 +909,7 @@ class Server:
         if (
             self.storm is not None
             and self.storm.suppress_hedges
-            and self.health.any_domain_open
+            and self.health.open_domains
         ):
             # a mass outage makes p95-triggered duplicates pure load
             # amplification onto the surviving domains
@@ -993,7 +995,7 @@ class Server:
 
     def _record_device_failure(self, w: DeviceWorker) -> None:
         """Feed one attempt failure to the device (and domain) breaker."""
-        if self.health.record_failure(w.label, self.now):
+        if self.health.record_failure(w.label):
             self._emit("quarantine", device=w.label)
             self._push(self.now + self._probe_cooldown, "probe", w.index)
         opened = self.health.record_domain_failure(w.label, self.now)
@@ -1288,9 +1290,9 @@ class Server:
             "attempt_finish", attempt=a.id, device=w.label, outcome=outcome
         )
         forgive = not ok and self.health.domain_open(w.label)
-        if self.health.probe_result(w.label, ok, self.now, forgive=forgive):
+        if self.health.probe_result(w.label, ok, forgive=forgive):
             self._emit("readmit", device=w.label)
-            closed = self.health.maybe_close_domain(w.label, self.now)
+            closed = self.health.maybe_close_domain(w.label)
             if closed is not None:
                 # one member passing its probe is the evidence the
                 # domain-wide fault has cleared
@@ -1316,27 +1318,13 @@ class Server:
     # -- report --------------------------------------------------------------
 
     def _report(self, ledger) -> ServeReport:
-        """The campaign report: the ledger's rows and tallies plus
-        policy state."""
+        """The campaign report: everything the ledger folded from the
+        journal, plus the end time and the config echoes."""
         return ServeReport(
             **ledger.report_fields(),
-            fleet=self.health.summary(),
-            utilization={
-                w.label: {
-                    "busy_time": w.busy_time,
-                    "completed": ledger.completed.get(w.label, 0),
-                }
-                for w in self.workers
-            },
             batching=self.batching is not None,
             max_batch=self.max_batch,
             storm=self.storm is not None,
-            domains=(
-                self.topology.to_json()
-                if not self.topology.trivial
-                else {}
-            ),
-            domain_summary=self.health.domain_summary(self.now),
             verify_integrity=self.config.verify_integrity,
             steady_state=self.config.steady_state,
             spares=self.config.spares,

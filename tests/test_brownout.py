@@ -594,9 +594,9 @@ class TestBrownoutServing:
         # the journal file alone rebuilds the served QoS mix
         path = tmp_path / "events.jsonl"
         recorder.write(str(path))
-        _, events = load_journal(str(path))
+        header, events = load_journal(str(path))
         replayed = ServeReport(
-            requests=fold_journal(events).requests,
+            requests=fold_journal(header, events, report.end_time).requests,
             qos_rungs=report.qos_rungs,
         )
         assert (replayed.qos_mix, replayed.degraded_fraction) == (

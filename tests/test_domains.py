@@ -2,7 +2,8 @@
 
 Covers :mod:`repro.robust.domains` (topology, storm knobs, the retry
 token bucket), the domain breakers in :mod:`repro.serve.health`, the
-correlated fault windows in :mod:`repro.robust.faults`, and the serve
+device table and domain rows folded from the journal, the correlated
+fault windows in :mod:`repro.robust.faults`, and the serve
 loop's domain-aware placement + storm defense end to end — including
 the same-seed bit-exactness the whole mechanism is built on.
 """
@@ -27,6 +28,7 @@ from repro.robust.faults import (
 from repro.serve import (
     DEAD,
     HEALTHY,
+    PROBING,
     QUARANTINED,
     FleetHealth,
     HedgePolicy,
@@ -36,6 +38,7 @@ from repro.serve import (
     format_serve_report,
     run_serve_campaign,
 )
+from repro.serve.report import fold_journal
 
 LAT = {"m": 0.004}
 
@@ -141,7 +144,7 @@ class TestRetryBudget:
         b = RetryBudget(StormConfig(retry_budget=2.0))
         assert b.take() and b.take()
         assert not b.take()
-        assert b.taken == 2 and b.denied == 1
+        assert b.tokens == 0.0  # a denial spends nothing
 
     def test_credit_refills_fractionally_and_caps(self):
         b = RetryBudget(StormConfig(
@@ -275,11 +278,10 @@ class TestDomainBreakers:
         assert h["a0"].state == QUARANTINED
         assert h["a1"].state == QUARANTINED
         assert h["b0"].state == HEALTHY
-        assert h.any_domain_open and h.domain_open("a0")
+        assert h.open_domains == {"A"} and h.domain_open("a0")
         assert not h.domain_open("b0")
-        assert h.domain_state["A"]["outages"] == 1
-        assert h.domain_state["A"]["mass_quarantined"] == 2
-        assert h["a0"].quarantines == 1 and h["a1"].quarantines == 1
+        # an open breaker does not open again
+        assert h.record_domain_failure("a0", 0.3) is None
 
     def test_stale_failures_pruned_outside_window(self):
         with use_registry(MetricsRegistry()):
@@ -287,7 +289,7 @@ class TestDomainBreakers:
             assert h.record_domain_failure("a0", 0.0) is None
             # a0 recovered in the meantime; its stamp is stale
             assert h.record_domain_failure("a1", 2.0) is None
-        assert not h.any_domain_open
+        assert not h.open_domains
 
     def test_already_failed_members_count(self):
         with use_registry(MetricsRegistry()):
@@ -300,22 +302,24 @@ class TestDomainBreakers:
         h = rack_health()
         h.record_domain_failure("a0", 0.1)
         h.record_domain_failure("a1", 0.2)
-        assert h.maybe_close_domain("a0", 0.7) == "A"
-        assert h.maybe_close_domain("a0", 0.8) is None  # already closed
-        assert not h.any_domain_open
-        assert not h.domain_state["A"]["open"]
-        summary = h.domain_summary(end_time=1.0)
+        assert h.maybe_close_domain("a0") == "A"
+        assert h.maybe_close_domain("a0") is None  # already closed
+        assert not h.open_domains
+        # the same outage, journaled, folds to its down time
+        summary = fold_rack([
+            OUTAGE_A,
+            ("domain_recovered", 0.7, dict(domain="A")),
+        ], end_time=1.0).domain_summary
+        assert summary["A"]["outages"] == 1
+        assert summary["A"]["mass_quarantined"] == 2
         assert summary["A"]["down_time"] == pytest.approx(0.5)
         assert summary["A"]["availability"] == pytest.approx(0.5)
         assert summary["B"]["availability"] == 1.0
 
     def test_open_breaker_closed_out_at_horizon(self):
-        with use_registry(MetricsRegistry()):
-            h = rack_health()
-            h.record_domain_failure("a0", 0.1)
-            h.record_domain_failure("a1", 0.2)
-        s = h.domain_summary(end_time=1.2)
+        s = fold_rack([OUTAGE_A], end_time=1.2).domain_summary
         assert s["A"]["down_time"] == pytest.approx(1.0)
+        assert s["A"]["availability"] == pytest.approx(1 - 1.0 / 1.2)
 
     def test_forgiven_probe_does_not_count_toward_death(self):
         with use_registry(MetricsRegistry()):
@@ -324,12 +328,12 @@ class TestDomainBreakers:
             h.record_domain_failure("a1", 0.2)
             for _ in range(5):  # would be DEAD after 2 without forgive
                 h.begin_probe("a0")
-                assert not h.probe_result("a0", False, 0.5, forgive=True)
+                assert not h.probe_result("a0", False, forgive=True)
             assert h["a0"].state == QUARANTINED
             h.begin_probe("a0")
-            h.probe_result("a0", False, 0.6)
+            h.probe_result("a0", False)
             h.begin_probe("a0")
-            h.probe_result("a0", False, 0.7)
+            h.probe_result("a0", False)
         assert h["a0"].state == DEAD
 
     def test_trivial_topology_has_no_domain_state(self):
@@ -337,9 +341,138 @@ class TestDomainBreakers:
             h = FleetHealth(
                 ["a", "b"], topology=DomainTopology(["a", "b"])
             )
-            assert h.domain_state == {}
             assert h.record_domain_failure("a", 0.1) is None
-            assert not h.any_domain_open
+            assert h.record_domain_failure("b", 0.1) is None
+            assert not h.open_domains
+        # a trivial topology journals no domains, and folds to none
+        led = fold_journal(
+            dict(devices=["a", "b"], domains=None, domain_defense=True),
+            [], end_time=1.0,
+        )
+        assert led.domains == {} and led.domain_summary == {}
+
+    def test_spare_makes_singleton_domain_correlated(self):
+        # a spare joining a singleton domain arms its breaker: the
+        # eligibility check is live, not fixed at construction
+        labels = ["a0", "a1", "s0"]
+        topo = DomainTopology(labels, ["A", "A", "S"])
+        h = FleetHealth(
+            labels, threshold=2, topology=topo, domain_window=1.0,
+            domain_threshold=0.75,
+        )
+        assert h.record_domain_failure("s0", 0.1) is None  # singleton
+        topo.assign("spare1", "S")
+        h.add_device("spare1")
+        assert h.record_domain_failure("s0", 0.2) is None
+        assert h.record_domain_failure("spare1", 0.3) == (
+            "S", ["s0", "spare1"]
+        )
+        assert h.open_domains == {"S"}
+
+
+# -- the device table and domain rows, folded from hand-built journals -------
+
+RACK_HEADER = dict(
+    devices=["a0", "a1", "b0", "b1"],
+    domains={"a0": "A", "a1": "A", "b0": "B", "b1": "B"},
+    domain_defense=True,
+)
+
+#: rack A's breaker opening at t=0.2 and sweeping both members
+OUTAGE_A = ("domain_outage", 0.2, dict(domain="A", swept=2))
+
+
+def fold_rack(events, end_time, header=RACK_HEADER):
+    """Fold ``(kind, t, fields)`` events journaled on the rack fleet."""
+    rec = TimelineRecorder(meta=header)
+    for kind, t, kw in events:
+        rec.emit(kind, t, **kw)
+    return fold_journal(rec.header(), rec.events, end_time)
+
+
+def probe(t, device, attempt, outcome):
+    """A health probe's dispatch at ``t`` and its finish 0.1 s later."""
+    return [
+        ("dispatch", t, dict(attempt=attempt, device=device, kind="probe")),
+        ("attempt_finish", t + 0.1,
+         dict(attempt=attempt, device=device, outcome=outcome)),
+    ]
+
+
+class TestFleetFold:
+    def test_forgiven_probe_left_out_of_probes(self):
+        led = fold_rack([
+            ("quarantine", 0.2, dict(device="a0")),
+            OUTAGE_A,
+            ("quarantine", 0.2, dict(device="a1")),
+            *probe(0.3, "a0", 0, "crash"),  # domain out: forgiven
+            ("domain_recovered", 0.5, dict(domain="A")),
+            *probe(0.6, "a1", 1, "crash"),  # domain back: counted
+            *probe(0.8, "a1", 2, "ok"),
+            ("readmit", 0.9, dict(device="a1")),
+            *probe(1.0, "a0", 3, "ok"),
+        ], end_time=1.2)
+        assert led.fleet["a0"] == dict(
+            state=PROBING, crashes=0, probes=1, quarantines=1
+        )
+        assert led.fleet["a1"] == dict(
+            state=HEALTHY, crashes=0, probes=2, quarantines=1
+        )
+        assert led.fleet["b0"]["state"] == HEALTHY
+        assert led.utilization["a0"]["busy_time"] == pytest.approx(0.2)
+        assert led.utilization["a1"]["busy_time"] == pytest.approx(0.2)
+        assert led.domain_summary["A"]["down_time"] == pytest.approx(0.3)
+
+    def test_crashes_counted_once_per_attempt(self):
+        slice_ = dict(kind="primary", model="m", scene=0)
+        led = fold_rack([
+            ("arrival", 0.0, dict(request=0, model="m", scene=0,
+                                  deadline=1.0, trace="t0")),
+            ("arrival", 0.0, dict(request=1, model="m", scene=0,
+                                  deadline=1.0, trace="t1")),
+            ("batch_dispatch", 0.1, dict(request=0, attempt=0, device="b0",
+                                         batch=0, size=2, **slice_)),
+            ("batch_dispatch", 0.1, dict(request=1, attempt=0, device="b0",
+                                         batch=0, size=2, **slice_)),
+            ("attempt_finish", 0.3, dict(request=0, attempt=0, device="b0",
+                                         outcome="crash")),
+            ("attempt_finish", 0.3, dict(request=1, attempt=0, device="b0",
+                                         outcome="crash")),
+            ("quarantine", 0.3, dict(device="b0")),
+            *probe(0.4, "b0", 1, "crash"),
+            *probe(0.6, "b0", 2, "crash"),
+            ("device_dead", 0.7, dict(device="b0")),
+        ], end_time=1.0)
+        assert led.fleet["b0"] == dict(
+            state=DEAD, crashes=1, probes=2, quarantines=1
+        )
+        assert led.utilization["b0"] == dict(
+            busy_time=pytest.approx(0.4), completed=0
+        )
+
+    def test_spare_row_starts_fresh(self):
+        led = fold_rack([
+            ("quarantine", 0.1, dict(device="a0")),
+            *probe(0.2, "a0", 0, "crash"),
+            ("device_dead", 0.3, dict(device="a0")),
+            ("device_replaced", 0.3, dict(device="spare1", slot="a0",
+                                          spec="RTX 3090", domain="B")),
+        ], end_time=1.0)
+        assert list(led.fleet) == ["a0", "a1", "b0", "b1", "spare1"]
+        assert led.fleet["a0"]["state"] == DEAD
+        assert led.fleet["spare1"] == dict(
+            state=HEALTHY, crashes=0, probes=0, quarantines=0
+        )
+        assert led.utilization["spare1"] == dict(busy_time=0.0, completed=0)
+        assert led.domains["spare1"] == "B"
+        assert led.domain_summary["B"]["members"] == 3
+
+    def test_no_breakers_without_the_defense(self):
+        led = fold_rack([], end_time=1.0, header=dict(
+            RACK_HEADER, domain_defense=False
+        ))
+        assert led.domains == RACK_HEADER["domains"]
+        assert led.domain_summary == {}
 
 
 # -- domain-aware campaigns ---------------------------------------------------
@@ -594,6 +727,28 @@ class TestStormDefense:
         assert "availability" in domain_lines[0]
         assert domain_lines[1] == (
             "domain solo: 1 devices, no breaker (singleton at start)"
+        )
+
+    def test_spare_joining_singleton_domain_is_watched(self, tmp_path):
+        # a sticky crash kills a rack0 member; its spare joins the
+        # singleton domain ``solo``, which then holds two devices and
+        # has a breaker of its own
+        config = make_config(
+            devices=(RTX_2080TI, RTX_2080TI, RTX_3090),
+            domains=("rack0", "rack0", "solo"),
+            max_probes=2, spares=1,
+        )
+        sticky = [FaultSpec(
+            kind="device_crash", site="RTX 2080Ti #0", count=-1
+        )]
+        report, _ = campaign(config, make_traffic(duration=0.5), specs=sticky)
+        assert report.domains["spare1"] == "solo"
+        assert report.domain_summary["solo"]["members"] == 2
+        lines = format_serve_report(report, "campaign").splitlines()
+        assert any(
+            line.startswith("domain solo: 2 devices, ")
+            and "availability" in line
+            for line in lines
         )
 
 

@@ -155,18 +155,19 @@ class TestAdmissionQueue:
 class TestFleetHealth:
     def test_quarantine_after_threshold(self):
         h = FleetHealth(["a", "b"], threshold=2)
-        assert not h.record_failure("a", 1.0)
-        assert h.record_failure("a", 2.0)
+        assert not h.record_failure("a")
+        assert h.record_failure("a")
         assert h["a"].state == QUARANTINED
         assert h["b"].state == HEALTHY
-        assert h.mask(["a", "b"]) == [False, True]
-        assert h["a"].quarantines == 1 and h["b"].quarantines == 0
+        assert [h[label].available for label in "ab"] == [False, True]
+        # a quarantined device is quarantined once, not per failure
+        assert not h.record_failure("a")
 
     def test_probe_readmission_resets_breaker(self):
         h = FleetHealth(["a"], threshold=1)
-        h.record_failure("a", 0.0)
+        h.record_failure("a")
         h.begin_probe("a")
-        assert h.probe_result("a", True, 1.0)
+        assert h.probe_result("a", True)
         assert h["a"].state == HEALTHY
         assert h["a"].probes == 1
         assert h["a"].breaker.failures == 0 and not h["a"].breaker.open
@@ -174,12 +175,14 @@ class TestFleetHealth:
     def test_dead_after_max_probes(self):
         with use_registry(MetricsRegistry()):
             h = FleetHealth(["a"], threshold=1, max_probes=2)
-            h.record_failure("a", 0.0)
+            h.record_failure("a")
             for _ in range(2):
                 h.begin_probe("a")
-                assert not h.probe_result("a", False, 1.0)
+                assert not h.probe_result("a", False)
         assert h["a"].state == DEAD
-        assert h.all_dead
+        assert h["a"].probes == 2
+        with pytest.raises(RuntimeError):
+            h.begin_probe("a")  # the dead are never probed again
 
     def test_reuses_circuit_breaker(self):
         h = FleetHealth(["a"], threshold=3)

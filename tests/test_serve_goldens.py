@@ -20,7 +20,8 @@ The module also checks that ``max_batch=1`` is the unbatched fleet:
 every request ends in the same state, at the same instant, on the same
 devices, with the same retries and hedge flags; that each case's
 journal, written to disk and read back, folds to the report's request
-rows, its tallies and the registry's ``serve.*`` lines; and that each journal validates
+rows, device table, busy times, domain rows, tallies and the
+registry's ``serve.*`` lines; and that each journal validates
 and renders one trace slice per attempt, solo or batched.
 
 Regenerate the data file (only when a change of behaviour is intended)
@@ -209,24 +210,24 @@ def test_campaign_matches_golden(case, goldens, campaigns):
 
 @pytest.mark.parametrize("case", CASES)
 def test_journal_file_folds_to_report_and_metrics(case, campaigns, tmp_path):
-    """The journal file alone, float reprs and JSON nulls included,
-    reproduces every request row of the report, every tally and every
-    folded metric."""
+    """The journal file alone (header and events, float reprs and JSON
+    nulls included) and the campaign's end time reproduce every request
+    row of the report, the device table, the busy times, the domain
+    rows, every tally and every folded metric."""
     run = campaigns(case)
     path = tmp_path / "events.jsonl"
     run.recorder.write(str(path))
-    _, events = load_journal(str(path))
-    ledger = fold_journal(events)
+    header, events = load_journal(str(path))
+    ledger = fold_journal(header, events, run.report.end_time)
     assert [r.to_json() for r in ledger.requests] == [
         r.to_json() for r in run.report.requests
     ]
+    assert ledger.fleet == run.report.fleet
+    assert ledger.utilization == run.report.utilization
+    assert ledger.domain_summary == run.report.domain_summary
+    assert ledger.domains == run.report.domains
     fields = ledger.report_fields()
     assert fields == {name: getattr(run.report, name) for name in fields}
-    assert ledger.completed == {
-        label: u["completed"]
-        for label, u in run.report.utilization.items()
-        if u["completed"]
-    }
     folded = MetricsRegistry()
     ledger.publish(folded)
     names = {m["name"] for m in folded.collect()}
