@@ -309,6 +309,11 @@ def _movement_dtype(dtype: DType, side: str) -> DType:
     return dtype
 
 
+def _is_identity(idx: np.ndarray, n: int) -> bool:
+    """``idx`` is ``0, 1, ..., n - 1``."""
+    return len(idx) == n and bool((idx == np.arange(n)).all())
+
+
 def execute_gather_matmul_scatter(
     feats: np.ndarray,
     weights: np.ndarray,
@@ -357,7 +362,7 @@ def execute_gather_matmul_scatter(
         )
     plan.validate(kmap.volume, kmap.center_index if skip_center else None)
 
-    acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
+    acc = None
     if numerics:
         x = _cast(feats, cfg.dtype)
         w = _cast(weights, cfg.dtype)
@@ -374,18 +379,27 @@ def execute_gather_matmul_scatter(
     if skip_center and center is not None and len(kmap.in_indices[center]):
         ci, co = kmap.in_indices[center], kmap.out_indices[center]
         if numerics:
-            partial = (np.take(x, ci, axis=0) @ w[center]).astype(
-                np.float32, copy=False
-            )
+            # a submanifold layer's center maps every row to itself: its
+            # product is the accumulator, with no gather and no scatter
+            # (checked on the arrays, so a corrupted map takes the gather)
+            direct = _is_identity(ci, kmap.n_in) and _is_identity(co, kmap.n_out)
+            rows = np.ascontiguousarray(x) if direct else np.take(x, ci, axis=0)
+            partial = (rows @ w[center]).astype(np.float32, copy=False)
             if integrity is not None:
                 src = integrity.source_checksum(x, ci)
                 integrity.check_matmul(
                     partial, src, w[center], len(ci), "matmul.center"
                 )
                 integrity.absorb(partial)
-            # within one offset each output index appears at most once
-            # (p = s*q + delta is injective in q), so plain indexed add is safe
-            acc[co] += partial
+            if direct:
+                acc = partial
+                acc += 0.0  # -0.0 reads +0.0, as the add into zeros gives
+            else:
+                # within one offset each output index appears at most once
+                # (p = s*q + delta is injective in q), so plain indexed add
+                # is safe
+                acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
+                acc[co] += partial
         cost = mm_cost(len(ci), c_in, c_out, cfg.dtype, device)
         record_gemm_cost(cost, "mm")
         with profile.span("matmul"):
@@ -397,6 +411,9 @@ def execute_gather_matmul_scatter(
                 flops=cost.flops,
                 launches=cost.launches,
             )
+
+    if acc is None:
+        acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
 
     # -- movement pricing (numerics below do the actual indexing) -----------
     with profile.span("gather"):

@@ -6,7 +6,8 @@ Architecture, following the paper's evaluation setup:
    then three strided stages, each one strided sparse conv plus two
    submanifold convs (all executed by the configured sparse engine);
 2. **BEV projection** — the stride-8 sparse tensor is flattened along z
-   into a dense bird's-eye-view feature map;
+   into a bird's-eye-view feature map per frame, kept as its occupied
+   pixels' rows;
 3. **dense head** — two shared 3x3 dense convs, a class *center
    heatmap* branch and a box regression branch
    ``(dx, dy, z, log w, log l, log h)``;
@@ -27,7 +28,7 @@ import numpy as np
 from repro import nn
 from repro.core.engine import ExecutionContext
 from repro.core.sparse_tensor import SparseTensor
-from repro.nn.dense import conv2d, relu2d, sigmoid
+from repro.nn.dense import RowMap, conv2d, relu2d, sigmoid
 
 
 @dataclass(frozen=True)
@@ -147,29 +148,40 @@ class CenterPoint(nn.Module):
 
     @staticmethod
     def to_bev(x: SparseTensor, ctx: ExecutionContext) -> tuple:
-        """Flatten a sparse tensor along z into a dense (H, W, C) map.
+        """Flatten a sparse tensor along z into one BEV map per frame.
 
-        Co-located voxels (same x, y) are max-pooled.  Returns the map
-        and its (x, y) origin in stride units.
+        Co-located voxels (same frame, x, y) are max-pooled, and a
+        channel that pools to ``-inf`` reads 0.  Frame ``b``'s map spans
+        its own voxels' (x, y) box.  Returns the occupied pixels as a
+        :class:`~repro.nn.dense.RowMap` (no rows in a pricing context)
+        and the list of per-frame (x, y) origins in stride units.
         """
         c = x.coords.astype(np.int64)
-        ox, oy = c[:, 1].min(), c[:, 2].min()
-        h = int(c[:, 1].max() - ox) + 1
-        w = int(c[:, 2].max() - oy) + 1
-        # max-pool each occupied cell over its run of voxels in cell order
-        cell = (c[:, 1] - ox) * w + (c[:, 2] - oy)
-        feats = x.feats
-        if (cell[1:] < cell[:-1]).any():
-            # a stable sort keeps every cell's voxels in input order; coords
-            # in (batch, x, y, z) order, as downsampling emits them, are
-            # already in cell order and need no feature copy
-            order = np.argsort(cell, kind="stable")
-            cell, feats = cell[order], feats[order]
-        starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
-        pooled = np.maximum.reduceat(feats, starts, axis=0)
-        pooled[np.isneginf(pooled)] = 0.0
-        bev = np.zeros((h, w, x.num_channels), dtype=np.float32)
-        bev.reshape(h * w, -1)[cell[starts]] = pooled
+        b = c[:, 0]
+        lo = np.full((x.batch_size, 2), np.iinfo(np.int64).max)
+        hi = np.full((x.batch_size, 2), np.iinfo(np.int64).min)
+        np.minimum.at(lo, b, c[:, 1:3])
+        np.maximum.at(hi, b, c[:, 1:3])
+        if not len(lo) or (hi < lo).any():
+            raise ValueError("every frame needs a voxel to place its BEV map")
+        extents = hi - lo + 1
+        h, w = extents.max(axis=0).tolist()
+        pix = np.zeros(0, dtype=np.int64)
+        rows = np.zeros((0, x.num_channels), dtype=np.float32)
+        if ctx.numerics:
+            # max-pool each occupied cell over its run of voxels in cell order
+            cell = (b * h + c[:, 1] - lo[b, 0]) * w + (c[:, 2] - lo[b, 1])
+            feats = x.feats
+            if (cell[1:] < cell[:-1]).any():
+                # a stable sort keeps every cell's voxels in input order;
+                # coords in (batch, x, y, z) order, as downsampling emits
+                # them, are already in cell order and need no feature copy
+                order = np.argsort(cell, kind="stable")
+                cell, feats = cell[order], feats[order]
+            starts = np.flatnonzero(np.r_[True, cell[1:] != cell[:-1]])
+            pooled = np.maximum.reduceat(feats, starts, axis=0)
+            pooled[np.isneginf(pooled)] = 0.0
+            pix, rows = cell[starts], pooled.astype(np.float32, copy=False)
         nbytes = x.num_points * x.num_channels * ctx.engine.config.dtype.nbytes * 2
         ctx.profile.log(
             "to_bev",
@@ -177,22 +189,34 @@ class CenterPoint(nn.Module):
             ctx.device.mem_time(nbytes) + ctx.device.launch_overhead,
             bytes_moved=nbytes,
         )
-        return bev, (int(ox), int(oy))
+        return RowMap(pix, rows, extents), [tuple(o) for o in lo.tolist()]
 
     # -- head + decoding -----------------------------------------------------
 
-    def forward(self, x: SparseTensor, ctx: ExecutionContext) -> dict:
-        feat3d = self.encoder(x, ctx)
-        bev, origin = self.to_bev(feat3d, ctx)
+    def head(self, bev: RowMap, ctx: ExecutionContext) -> tuple:
+        """The dense head over every frame's map: ``(heatmap, regression)``
+        rows."""
         h = relu2d(conv2d(bev, self.head_w1, ctx, name=f"{self.name}.head1"), ctx)
         h = relu2d(conv2d(h, self.head_w2, ctx, name=f"{self.name}.head2"), ctx)
         h = relu2d(conv2d(h, self.head_w3, ctx, name=f"{self.name}.head3"), ctx)
         heatmap = conv2d(h, self.heat_w, ctx, name=f"{self.name}.heatmap")
         reg = conv2d(h, self.reg_w, ctx, name=f"{self.name}.reg")
+        return heatmap, reg
+
+    def forward(self, x: SparseTensor, ctx: ExecutionContext) -> dict:
+        """Detector outputs.  ``heatmap`` and ``regression`` are dense
+        float32 ``(H, W, C)`` maps at ``bev_origin``; for a batch of
+        several frames all three are per-frame lists."""
+        feat3d = self.encoder(x, ctx)
+        bev, origins = self.to_bev(feat3d, ctx)
+        heatmap, reg = self.head(bev, ctx)
+        heatmaps, regs = heatmap.frames(), reg.frames()
+        if len(origins) == 1:
+            heatmaps, regs, origins = heatmaps[0], regs[0], origins[0]
         return {
-            "heatmap": heatmap,
-            "regression": reg,
-            "bev_origin": origin,
+            "heatmap": heatmaps,
+            "regression": regs,
+            "bev_origin": origins,
             "bev_stride": feat3d.stride,
             "sparse_features": feat3d,
         }

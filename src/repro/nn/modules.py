@@ -134,7 +134,9 @@ class BatchNorm(Module):
     def forward(self, x: SparseTensor, ctx: ExecutionContext) -> SparseTensor:
         scale = self.gamma / np.sqrt(self.running_var + self.eps)
         feats = x.feats * scale + (self.beta - self.running_mean * scale)
-        return ctx.engine.pointwise(x, feats.astype(np.float32), ctx, self.name)
+        return ctx.engine.pointwise(
+            x, feats.astype(np.float32, copy=False), ctx, self.name
+        )
 
 
 class ReLU(Module):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.baselines import MinkowskiEngineLike, SpConvLike
 from repro.baselines.minkowski import minkowski_config
+from repro.core import dataflow
 from repro.core.dataflow import (
     HALF_CHUNK,
     MovementConfig,
@@ -62,6 +63,67 @@ def run_gms(coords, feats, weights, out_coords, kernel_size, stride,
         Profile(),
         skip_center=skip_center,
     )
+
+
+class SignedZeroProducts(np.ndarray):
+    """Weights whose products read −0.0 wherever they are zero, as a
+    GEMM that kept the sign of an all −0.0 sum would return them."""
+
+    def __rmatmul__(self, other):
+        out = np.asarray(other) @ np.asarray(self)
+        out[out == 0] = -0.0
+        return out
+
+
+class TestDirectCenter:
+    """A submanifold layer's identity center is multiplied in place: no
+    gather and no scatter, with the bits of an add into zeros."""
+
+    @staticmethod
+    def kmap_for(coords):
+        return build_kmap(coords, CoordIndex.build(coords, backend="hash"),
+                          coords, 3, stride=1)
+
+    def test_bits_match_zero_init_path(self, monkeypatch):
+        coords, feats, weights = random_instance(seed=5)
+        rng = np.random.default_rng(5)
+        # small integers, so every sum is exact in any order, and whole
+        # rows of −0.0, so some outputs sum zeros only
+        feats = rng.integers(-2, 3, size=feats.shape).astype(np.float32)
+        feats[::3] = -0.0
+        weights = rng.integers(-2, 3, size=weights.shape).astype(np.float32)
+        cast = dataflow._cast
+        monkeypatch.setattr(dataflow, "_cast", lambda a, dtype: (
+            cast(a, dtype).view(SignedZeroProducts) if a.ndim == 3
+            else cast(a, dtype)))
+        kmap = self.kmap_for(coords)
+        center = kmap.center_index
+        assert np.array_equal(kmap.in_indices[center], np.arange(kmap.n_in))
+        w = weights.view(SignedZeroProducts)
+        product = feats @ w[center]
+        assert (np.signbit(product) & (product == 0)).any()
+        want = np.zeros((kmap.n_out, weights.shape[2]), dtype=np.float32)
+        for n in range(kmap.volume):
+            want[kmap.out_indices[n]] += feats[kmap.in_indices[n]] @ w[n]
+        got = run_gms(coords, feats, weights, coords, 3, 1)
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert not np.signbit(got[got == 0]).any()
+
+    def test_corrupted_center_takes_the_gather_and_raises(self):
+        """An index scrambled in place, as ``maybe_corrupt_kmap`` does,
+        makes the center no identity: the gather reads out of range."""
+        coords, feats, weights = random_instance(seed=6)
+        kmap = self.kmap_for(coords)
+        kmap.in_indices[kmap.center_index][3] = kmap.n_in + 7
+        plan = make_plan("separate", kmap.sizes, 3, kmap.stride)
+        with pytest.raises(IndexError):
+            execute_gather_matmul_scatter(feats, weights, kmap, plan,
+                                          MovementConfig(), RTX_2080TI, Profile())
+
+    def test_identity_check(self):
+        assert dataflow._is_identity(np.arange(5), 5)
+        assert not dataflow._is_identity(np.arange(5), 6)
+        assert not dataflow._is_identity(np.array([0, 2, 1]), 3)
 
 
 class TestNumericsVsReferences:

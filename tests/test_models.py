@@ -10,7 +10,10 @@ from repro.datasets.configs import nuscenes_like, waymo_like
 from repro.models import MODEL_ZOO, CenterPoint, MinkUNet
 from repro.core.sparse_tensor import SparseTensor
 from repro.models.centerpoint import Detection, bev_iou, nms
-from repro.robust.tolerance import END_TO_END
+from repro.datasets.collate import batch_collate, batch_split
+from repro.robust.tolerance import END_TO_END, EXACT_FP32
+
+ZOO = {e.key: e for e in MODEL_ZOO}
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +109,16 @@ def bev_oracle(coords, feats):
 
 class TestToBev:
     def _run(self, coords, feats):
+        """``to_bev`` of one frame: its densified map and origin."""
         x = SparseTensor(np.asarray(coords), np.asarray(feats, dtype=np.float32))
         ctx = ExecutionContext(engine=BaselineEngine())
-        return CenterPoint.to_bev(x, ctx)
+        bev, origins = CenterPoint.to_bev(x, ctx)
+        assert bev.rows.dtype == np.float32 and len(origins) == 1
+        # one row per occupied cell, in raster order
+        cells = {(x - origins[0][0], y - origins[0][1]) for _, x, y, _ in
+                 np.asarray(coords).tolist()}
+        assert bev.pix.tolist() == sorted(i * bev.grid[2] + j for i, j in cells)
+        return bev.frames()[0], origins[0]
 
     def test_cases(self):
         """Co-located voxels, an all-negative cell, ``-inf`` features and
@@ -176,6 +186,93 @@ class TestToBev:
         want, want_origin = bev_oracle(coords, feats)
         assert origin == want_origin
         assert np.array_equal(bev, want)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 2), st.integers(-3, 3), st.integers(-3, 3),
+                      st.integers(0, 3)),
+            min_size=1,
+            max_size=40,
+            unique=True,
+        ),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_each_frame_pools_alone(self, rows, data):
+        """A batch pools every frame over its own box and origin: each
+        frame's rows and map are those of the frame alone (split with
+        ``batch_split``)."""
+        frames = np.unique([r[0] for r in rows], return_inverse=True)[1]
+        coords = np.array([(b, *r[1:]) for b, r in zip(frames.ravel(), rows)])
+        value = st.sampled_from([-np.inf, -1.0, 0.0, 0.5, 7.0])
+        feats = np.array(data.draw(st.lists(st.tuples(value, value),
+                                            min_size=len(rows), max_size=len(rows))),
+                         dtype=np.float32)
+        ctx = ExecutionContext(engine=BaselineEngine())
+        x = SparseTensor(coords, feats)
+        bev, origins = CenterPoint.to_bev(x, ctx)
+        assert len(origins) == x.batch_size == len(bev.extents)
+        for b, (frame, got) in enumerate(zip(batch_split(x), bev.frames())):
+            solo, solo_origin = CenterPoint.to_bev(frame, ctx)
+            assert origins[b] == solo_origin[0]
+            assert np.array_equal(got, solo.frames()[0])
+            want, want_origin = bev_oracle(frame.coords, frame.feats)
+            assert want_origin == origins[b] and np.array_equal(got, want)
+
+
+class TestBatchedDetector:
+    """A collated batch of detector frames runs and bills one head per
+    frame."""
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        return ZOO["centerpoint_1f_waymo"].make_model()
+
+    @staticmethod
+    def frames(n):
+        ds = ZOO["centerpoint_1f_waymo"].make_dataset()
+        return [ds.sample_tensor(seed=s, scale=0.03) for s in range(n)]
+
+    @staticmethod
+    def head_time(model, ctx):
+        names = {f"{model.name}.{n}"
+                 for n in ("head1", "head2", "head3", "heatmap", "reg")}
+        names.add("dense.relu")
+        recs = [r for r in ctx.profile.records if r.name in names]
+        return sum(r.time for r in recs), len(recs)
+
+    def test_batch_prices_each_frame(self, model):
+        """The priced head of ``batch_collate([x] * 4)`` is four of one
+        frame's."""
+        (x,) = self.frames(1)
+        times = []
+        for inp in (x, batch_collate([x] * 4)):
+            ctx = ExecutionContext(engine=TorchSparseEngine(), numerics=False)
+            model(inp, ctx)
+            times.append(self.head_time(model, ctx))
+        (one, n_one), (four, n_four) = times
+        assert n_four == 4 * n_one and one > 0
+        assert four == pytest.approx(4 * one, rel=1e-12)
+
+    def test_frames_equal_solo_frames(self, model):
+        """Each frame's maps are that frame's solo maps: bit for bit from
+        the same encoder features, and within EXACT_FP32 through whole
+        solo forwards (the encoder's GEMMs see other row counts)."""
+        xs = self.frames(3)
+        ctx = ExecutionContext(engine=TorchSparseEngine())
+        out = model(batch_collate(xs), ctx)
+        assert len(out["heatmap"]) == len(out["regression"]) == 3
+        for b, feat in enumerate(batch_split(out["sparse_features"])):
+            bev, origin = model.to_bev(feat, ctx)
+            heat, reg = model.head(bev, ctx)
+            assert out["bev_origin"][b] == origin[0]
+            assert np.array_equal(out["heatmap"][b], heat.frames()[0])
+            assert np.array_equal(out["regression"][b], reg.frames()[0])
+        for b, x in enumerate(xs):
+            solo = model(x, ExecutionContext(engine=TorchSparseEngine()))
+            assert solo["bev_origin"] == out["bev_origin"][b]
+            for key in ("heatmap", "regression"):
+                EXACT_FP32.assert_close(out[key][b], solo[key], err_msg=key)
 
 
 class TestNMS:

@@ -142,6 +142,7 @@ def no_numerics(monkeypatch):
         raise AssertionError("a pricing forward ran the numerics")
 
     monkeypatch.setattr("repro.core.dataflow._cast", refuse)
+    monkeypatch.setattr("repro.nn.dense._live_pixels", refuse)
     monkeypatch.setattr("repro.nn.dense.im2col", refuse)
 
 
