@@ -25,6 +25,7 @@ the paper's Table 3 ladder.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -256,14 +257,59 @@ def _round_half(a: np.ndarray) -> np.ndarray:
     return out
 
 
+#: ``id`` -> every live array :func:`freeze_half` returned, held weakly.
+#: The tag lives in a table, not in an ndarray subclass: NumPy passes a
+#: subclass on through ``w[n]`` and ``@``, so the products would read
+#: as rounded too.
+_FROZEN_HALF: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _is_frozen_half(a: np.ndarray) -> bool:
+    return _FROZEN_HALF.get(id(a)) is a
+
+
+def freeze_half(a: np.ndarray) -> np.ndarray:
+    """Round ``a`` to fp16 precision once, in place; returns ``a``, now
+    read-only and tagged so :func:`_cast` passes it through FP16 casts
+    without a rounding pass.
+
+    The weight side of a ``model.half()`` deployment (Section 4.3.1).
+    The values are exactly ``_cast(a, DType.FP16)``'s, and rounding is
+    idempotent, so FP16 forwards over frozen weights keep every bit.
+    ``a`` must be writable C-contiguous float32, as every conv's own
+    weights are; it is rounded :data:`HALF_CHUNK` elements at a time
+    (a fresh full-size array per layer fragments the heap and raised
+    the kitti-seg-cold benchmark's peak RSS by 13 MB).  An array this
+    function returned is returned as is.
+
+    Raises:
+        ValueError: ``a`` is not a frozen array and not a writable
+            C-contiguous float32 array.
+    """
+    if _is_frozen_half(a):
+        return a
+    if not (a.dtype == np.float32 and a.flags.writeable and a.flags.c_contiguous):
+        raise ValueError(
+            "freeze_half rounds in place: it needs a writable C-contiguous "
+            f"float32 array, got {a.dtype} (writeable={a.flags.writeable}, "
+            f"c_contiguous={a.flags.c_contiguous})"
+        )
+    flat = a.reshape(-1)
+    for lo in range(0, flat.size, HALF_CHUNK):
+        flat[lo : lo + HALF_CHUNK] = _round_half(flat[lo : lo + HALF_CHUNK])
+    a.flags.writeable = False
+    _FROZEN_HALF[id(a)] = a
+    return a
+
+
 def _cast(feats: np.ndarray, dtype: DType) -> np.ndarray:
     """Apply the storage dtype's precision to the features.
 
     Always returns float32, so GEMMs take NumPy's BLAS path — half
     precision matmul has no BLAS kernel and is orders of magnitude
     slower.  The returned array never aliases ``feats`` while a fault
-    injector is armed (see below); FP16 and INT8 always return a fresh
-    array.
+    injector is armed (see below); INT8 and FP16 casts of an array not
+    made by :func:`freeze_half` always return a fresh array.
 
     * **FP32**: float32 input is returned as is, or copied under an
       armed injector.
@@ -273,24 +319,28 @@ def _cast(feats: np.ndarray, dtype: DType) -> np.ndarray:
       ``float16`` round trip and several times faster.  Any other dtype
       (the float16 and float64 features :class:`SparseTensor` accepts)
       casts straight to ``float16``: rounding float64 to float32 first
-      would round twice.
+      would round twice.  A :func:`freeze_half` array (a deployed
+      model's weights) already holds fp16 values: it is returned as is,
+      or as a writable copy under an armed injector.
     * **INT8**: symmetric per-tensor quantization, round-tripped the same
       way; an empty tensor stays empty.  The scatter side still runs at
       16 bits as the paper requires, which the cost model handles, not
       this function.
     """
+    # The bit-flip fault sites mutate the cast buffer in place.  An
+    # aliased return would let them corrupt the caller's tensor — the
+    # model's weights — so the detect->recompute loop would re-take its
+    # golden checksum from the corrupted buffer, verify clean, and ship
+    # the corruption as a recovery.  Copy whenever an injector is armed;
+    # the production path stays zero-copy.
     if dtype is DType.FP32:
-        # The bit-flip fault sites mutate the cast buffer in place.  An
-        # aliased return would let them corrupt the caller's tensor —
-        # the model's weights — so the detect->recompute loop would
-        # re-take its golden checksum from the corrupted buffer, verify
-        # clean, and ship the corruption as a recovery.  Copy whenever
-        # an injector is armed; the production path stays zero-copy.
         return feats.astype(np.float32, copy=get_injector() is not None)
     if dtype is DType.INT8:
         scale = max(1e-12, float(np.abs(feats).max(initial=0.0)) / 127.0)
         q = np.clip(np.round(feats / scale), -127, 127)
         return (q * scale).astype(np.float32)
+    if _is_frozen_half(feats):
+        return feats.copy() if get_injector() is not None else feats
     if feats.dtype == np.float32:
         return _round_half(feats)
     return feats.astype(np.float16).astype(np.float32)

@@ -19,6 +19,7 @@ from repro.nn.modules import (
     ReLU,
     Residual,
     Sequential,
+    deploy,
 )
 
 __all__ = [
@@ -32,4 +33,5 @@ __all__ = [
     "MaxPool3d",
     "AvgPool3d",
     "GlobalAvgPool",
+    "deploy",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.dataflow import freeze_half
 from repro.core.engine import ExecutionContext
 from repro.core.kernel import kernel_volume
 from repro.core.sparse_tensor import SparseTensor, cat
@@ -133,7 +134,8 @@ class BatchNorm(Module):
 
     def forward(self, x: SparseTensor, ctx: ExecutionContext) -> SparseTensor:
         scale = self.gamma / np.sqrt(self.running_var + self.eps)
-        feats = x.feats * scale + (self.beta - self.running_mean * scale)
+        feats = x.feats * scale
+        feats += self.beta - self.running_mean * scale
         return ctx.engine.pointwise(
             x, feats.astype(np.float32, copy=False), ctx, self.name
         )
@@ -187,6 +189,25 @@ class Linear(Module):
                 flops=cost.flops,
             )
         return x.replace_feats(out.astype(np.float32))
+
+
+def deploy(model: Module) -> Module:
+    """Round every :class:`Conv3d`'s weights to FP16 once; returns ``model``.
+
+    TorchSparse casts a model with ``.half()`` before inference
+    (Section 4.3.1).  Here each conv's ``weight`` goes through
+    :func:`~repro.core.dataflow.freeze_half`, which rounds it in place
+    into a read-only float32 array of fp16 values that FP16 dataflows
+    use without rounding it again on every call.  No second copy is
+    kept.
+
+    An FP16 forward is bit-identical with or without ``deploy``; FP32 and
+    INT8 forwards of a deployed model run over the rounded weights, as
+    over an upcast half checkpoint.  Deploying twice changes nothing.
+    """
+    for conv in model.conv_layers():
+        freeze_half(conv.weight)
+    return model
 
 
 class Sequential(Module):

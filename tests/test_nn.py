@@ -99,6 +99,27 @@ class TestPointwiseModules:
             y.feats, 3.0 * (x.feats - 2.0) / np.sqrt(1 + 1e-5), rtol=1e-4
         )
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batchnorm_bits_match_two_term_expression(self, dtype):
+        """The in-place shift gives the bits of ``x * scale + shift``."""
+        rng = np.random.default_rng(3)
+        bn = nn.BatchNorm(6)
+        bn.gamma[:] = rng.standard_normal(6)
+        bn.beta[:] = rng.standard_normal(6)
+        bn.beta[0] = 0.0  # -0.0 * scale + 0.0 must read +0.0
+        bn.running_mean[:] = rng.standard_normal(6)
+        bn.running_mean[0] = 0.0
+        bn.running_var[:] = rng.random(6) + 0.5
+        x = make_tensor()
+        feats = x.feats.astype(dtype)
+        feats[::4] = -0.0
+        y = bn(x.replace_feats(feats), ctx())
+        scale = bn.gamma / np.sqrt(bn.running_var + bn.eps)
+        want = (feats * scale + (bn.beta - bn.running_mean * scale)).astype(np.float32)
+        assert y.feats.dtype == np.float32
+        assert np.array_equal(y.feats.view(np.uint32), want.view(np.uint32))
+        assert not np.signbit(y.feats[::4, 0]).any()
+
     def test_linear(self):
         x = make_tensor()
         lin = nn.Linear(6, 3)
