@@ -21,6 +21,7 @@ Exports:
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from contextlib import contextmanager
 
 #: Default histogram buckets: geometric, suited to counts (probe
@@ -87,16 +88,42 @@ class Histogram:
         if count <= 0:
             return
         value = float(value)
-        i = len(self.bounds)
-        for j, b in enumerate(self.bounds):
-            if value <= b:
-                i = j
-                break
+        # the first bound >= value; NaN compares false with every bound,
+        # so bisect would put it in bucket 0: it overflows instead
+        bounds = self.bounds
+        i = bisect_left(bounds, value) if value == value else len(bounds)
         self.counts[i] += count
         self.count += count
         self.total += value * count
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
+
+    def observe_many(self, values) -> None:
+        """``observe(v)`` for each of ``values``, in order.
+
+        ``total`` takes one plain float add per value, so its bits are
+        the loop's (``sum`` compensates from Python 3.12 on).
+        """
+        bounds, counts, overflow = self.bounds, self.counts, len(self.bounds)
+        total, lo, hi = self.total, self.min, self.max
+        n = 0
+        for value in values:
+            value = float(value)
+            counts[
+                bisect_left(bounds, value) if value == value else overflow
+            ] += 1
+            total += value
+            if lo is None:
+                lo = hi = value
+            else:
+                # min()/max() keep the incumbent unless strictly beaten
+                if value < lo:
+                    lo = value
+                if value > hi:
+                    hi = value
+            n += 1
+        self.count += n
+        self.total, self.min, self.max = total, lo, hi
 
     @property
     def mean(self) -> float:
@@ -106,8 +133,8 @@ class Histogram:
         """Approximate quantile: upper bound of the bucket holding it.
 
         The extremes are exact: ``q=0`` returns the observed minimum
-        (not the first nonempty bucket's upper bound) and ``q=1``
-        resolves to the observed maximum.
+        (not the first nonempty bucket's upper bound) and ``q=1`` the
+        observed maximum; no quantile reads above the maximum.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
@@ -121,7 +148,7 @@ class Histogram:
             seen += c
             if seen >= target and c:
                 if i < len(self.bounds):
-                    return float(self.bounds[i])
+                    return min(float(self.bounds[i]), float(self.max))
                 return float(self.max)
         return float(self.max)
 

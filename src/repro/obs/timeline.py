@@ -135,9 +135,29 @@ class TimelineRecorder:
     ) -> dict:
         """Record one lifecycle transition; returns the event dict.
 
+        The keyword spelling of :meth:`record`.
+        """
+        return self.record(
+            kind, t, request, attempt, device, queue_depth, slack, attrs
+        )
+
+    def record(
+        self,
+        kind: str,
+        t: float,
+        request: int | None,
+        attempt: int | None,
+        device: str | None,
+        queue_depth: int,
+        slack: float | None,
+        attrs: dict,
+    ) -> dict:
+        """Build and append one event; returns the event dict.
+
         ``t`` is the *simulated* clock.  ``slack`` is the request's
         remaining deadline budget (``deadline - t``) at this instant,
         ``None`` for events with no request (probes, device health).
+        The event keeps ``attrs`` itself, not a copy: pass a fresh dict.
         """
         if kind not in EVENT_KINDS:
             raise ValueError(

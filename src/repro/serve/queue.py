@@ -40,10 +40,6 @@ class AdmissionQueue:
     def __len__(self) -> int:
         return len(self._q)
 
-    @property
-    def depth(self) -> int:
-        return len(self._q)
-
     def _shed(self, req: Request, reason: str, now: float) -> None:
         req.resolve(SHED)
         if self.on_shed is not None:
@@ -51,6 +47,8 @@ class AdmissionQueue:
 
     def shed_expired(self, now: float) -> list:
         """Drop queued requests past their deadline, oldest first."""
+        if not any(req.deadline <= now for req in self._q):
+            return []
         kept: deque = deque()
         dropped = []
         while self._q:

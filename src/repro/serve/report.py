@@ -189,15 +189,14 @@ class Ledger:
     def publish(self, registry) -> None:
         """Write the counters and histograms into ``registry``.
 
-        Histograms observe in journal order, so their float sums match
-        a registry written live, event by event.
+        Histograms add their values in journal order, one plain float
+        add each, so their sums match a registry written live, event by
+        event.
         """
         for (name, labels), total in self.counters.items():
             registry.counter(name, **dict(labels)).inc(total)
         for name, values in self.histograms.items():
-            hist = registry.histogram(name)
-            for value in values:
-                hist.observe(value)
+            registry.histogram(name).observe_many(values)
 
 
 def fold_journal(header: dict, events, end_time: float) -> Ledger:

@@ -404,15 +404,13 @@ class Server:
         Queue depth is sampled at emission time; slack is the request's
         remaining deadline budget at this instant.
         """
-        self.recorder.emit(
-            kind,
-            self.now,
-            request=None if req is None else req.id,
-            attempt=attempt,
-            device=device,
-            queue_depth=self.queue.depth,
-            slack=None if req is None else req.deadline - self.now,
-            **attrs,
+        now = self.now
+        if req is None:
+            request = slack = None
+        else:
+            request, slack = req.id, req.deadline - now
+        self.recorder.record(
+            kind, now, request, attempt, device, len(self.queue), slack, attrs
         )
 
     def _on_queue_shed(self, req: Request, reason: str, now: float) -> None:
@@ -597,7 +595,9 @@ class Server:
         opens, so nothing is ever held, scooped or peeked at.
         """
         self._feed_forming()
-        while True:
+        # with nothing queued the loop below can neither pop nor
+        # starve-close (both read None off the queue)
+        while self.queue:
             eligible = [
                 not w.busy
                 and self.health[w.label].available
@@ -1137,7 +1137,7 @@ class Server:
         self._qos_cursor = len(events)
         change = self.brownout.observe(
             self.now,
-            queue_depth=self.queue.depth,
+            queue_depth=len(self.queue),
             misses=sum(state != COMPLETED for state in states),
             finished=len(states),
         )

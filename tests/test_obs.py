@@ -1,11 +1,16 @@
 """Tests for the observability layer: tracer, metrics, regression gate."""
 
 import json
+import math
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
     FRACTION_BUCKETS,
+    GEOMETRIC_BUCKETS,
     Counter,
     Gauge,
     Histogram,
@@ -127,6 +132,26 @@ class TestMetrics:
         h2.observe(1.7)
         assert h2.quantile(0.0) == 1.7  # bucket bound would say 2.0
 
+    def test_histogram_quantile_one_is_observed_max(self):
+        # q=1 must return the observed maximum, not its bucket's bound
+        h = Histogram()
+        h.observe(3.0)
+        assert h.quantile(1.0) == 3.0  # bucket bound would say 4.0
+        assert h.quantile(0.5) == 3.0
+        h.observe(0.5)
+        assert h.quantile(0.5) == 1.0 and h.quantile(1.0) == 3.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=30),
+        st.floats(0.0, 1.0),
+    )
+    def test_histogram_quantile_never_exceeds_max(self, values, q):
+        h = Histogram()
+        for v in values:
+            h.observe(v)
+        assert min(values) <= h.quantile(q) <= max(values)
+
     def test_registry_keys_by_name_and_labels(self):
         reg = MetricsRegistry()
         a = reg.counter("hits", cache="kmap")
@@ -168,6 +193,77 @@ class TestMetrics:
             get_registry().counter("only.inner").inc()
         assert get_registry() is outer
         assert len(reg) == 1
+
+
+def linear_bucket(bounds, value):
+    """The bucket a linear scan picks: the first bound ``>= value``."""
+    for j, b in enumerate(bounds):
+        if value <= b:
+            return j
+    return len(bounds)
+
+
+def bits(x):
+    """A float's exact bits (``None`` passes), so -0.0 and NaN compare."""
+    return None if x is None else struct.pack("<d", x)
+
+
+BUCKET_SETS = (GEOMETRIC_BUCKETS, FRACTION_BUCKETS, (-2.5, 0.0, 1, 1e300))
+
+#: NaN, the infinities, both zeros, and every bound with its neighbours
+EDGE_VALUES = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0] + [
+    x
+    for bounds in BUCKET_SETS
+    for b in bounds
+    for x in (b, math.nextafter(b, -math.inf), math.nextafter(b, math.inf))
+]
+
+observed_values = st.one_of(
+    st.sampled_from(EDGE_VALUES),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-(2**20), 2**20),
+)
+
+
+class TestObserveMany:
+    """``observe_many`` is a bulk ``observe`` loop, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from(BUCKET_SETS),
+        st.lists(observed_values, max_size=6),
+        st.lists(observed_values, max_size=40),
+    )
+    def test_matches_observe_loop(self, bounds, prefix, values):
+        loop, bulk = Histogram(bounds), Histogram(bounds)
+        for h in (loop, bulk):  # a prior history carries over
+            for v in prefix:
+                h.observe(v)
+        for v in values:
+            loop.observe(v)
+        bulk.observe_many(values)
+        assert bulk.counts == loop.counts
+        assert bulk.count == loop.count == len(prefix) + len(values)
+        assert bits(bulk.total) == bits(loop.total)
+        assert bits(bulk.min) == bits(loop.min)
+        assert bits(bulk.max) == bits(loop.max)
+        # the bucket search agrees with a linear scan of the bounds
+        oracle = [0] * (len(bounds) + 1)
+        for v in prefix + values:
+            oracle[linear_bucket(bounds, float(v))] += 1
+        assert loop.counts == oracle
+
+    def test_nan_overflows(self):
+        h = Histogram((1, 2))
+        h.observe_many([math.nan])
+        h.observe(math.nan)
+        assert h.counts == [0, 0, 2]
+
+    def test_empty_leaves_histogram_untouched(self):
+        h = Histogram()
+        h.observe_many([])
+        assert h.count == 0 and h.min is None and h.max is None
+        assert bits(h.total) == bits(0.0)
 
 
 class TestRegress:

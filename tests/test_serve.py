@@ -28,6 +28,7 @@ from repro.serve import (
     SHED,
     TERMINAL_STATES,
     AdmissionQueue,
+    BatchingConfig,
     FleetHealth,
     HedgePolicy,
     Request,
@@ -145,11 +146,23 @@ class TestAdmissionQueue:
                 q.offer(r, 0.0)
             dropped = q.shed_expired(3.0)
         assert [r.id for r in dropped] == [0, 1]
-        assert q.depth == 1
+        assert len(q) == 1
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             AdmissionQueue(capacity=0)
+
+    def test_shed_expired_with_nothing_expired_keeps_fifo(self):
+        q, sheds = self._observed(8)
+        # deadlines out of arrival order: a retry re-enters the queue
+        # behind requests due later than it
+        for i, deadline in enumerate((5.0, 2.0, 10.0)):
+            q.offer(self._req(i, deadline=deadline), 0.0)
+        assert q.shed_expired(1.0) == []
+        assert sheds == []
+        # a deadline reached exactly has expired; the rest keep order
+        assert [r.id for r in q.shed_expired(2.0)] == [1]
+        assert [q.pop(2.0).id for _ in range(2)] == [0, 2]
 
 
 class TestFleetHealth:
@@ -434,6 +447,51 @@ class TestServeCampaign:
         assert not req.hedged
         # the journal holds the primary's dispatch and nothing else
         assert [e["kind"] for e in server.recorder.events] == ["dispatch"]
+
+    def _server(self, **kw):
+        from repro.core.engine import BaseEngine
+        from repro.serve.cluster import LatencyOracle
+        from repro.serve.server import Server
+
+        oracle = LatencyOracle(BaseEngine(), overrides=LAT)
+        return Server(make_config(**kw), oracle)
+
+    def test_emit_builds_the_keyword_emit_event(self):
+        from repro.obs.timeline import TimelineRecorder
+
+        server = self._server()
+        req = Request(id=4, model="m", arrival=0.0, deadline=1.0)
+        server.queue.offer(Request(id=5, model="m", arrival=0.0,
+                                   deadline=2.0), 0.0)
+        server.now = 0.25
+        server._emit("dispatch", req, attempt=2, device="d", kind="retry")
+        server._emit("quarantine", device="d")
+        server._emit("qos_change", level=1)
+        ref = TimelineRecorder()
+        ref.emit("dispatch", 0.25, request=4, attempt=2, device="d",
+                 queue_depth=1, slack=0.75, kind="retry")
+        ref.emit("quarantine", 0.25, device="d", queue_depth=1)
+        ref.emit("qos_change", 0.25, queue_depth=1, level=1)
+        assert server.recorder.events == ref.events
+        assert json.dumps(server.recorder.events) == json.dumps(ref.events)
+        # each event owns its attrs: mutating one touches no other
+        attrs = [e["attrs"] for e in server.recorder.events]
+        assert len({id(a) for a in attrs}) == len(attrs)
+        server._emit("quarantine", device="d")
+        server.recorder.events[-1]["attrs"]["x"] = 1
+        assert server.recorder.events[1]["attrs"] == {}
+
+    def test_pump_on_empty_queue_journals_nothing(self):
+        server = self._server(batching=BatchingConfig(max_batch=4))
+        server._requests = []
+        # all devices idle, and (below) all devices busy: either way
+        # there is nothing to pop, feed or starve-close
+        server._pump()
+        for w in server.workers:
+            w.busy = True
+        server._pump()
+        assert server.recorder.events == []
+        assert server._forming == {} and server._heap == []
 
     def test_hedge_cancel_counter_algebra(self):
         # every launched hedge pair resolves exactly one cancellation
