@@ -25,6 +25,10 @@ the paper's Table 3 ladder.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import weakref
 from dataclasses import dataclass
 
@@ -359,6 +363,105 @@ def _movement_dtype(dtype: DType, side: str) -> DType:
     return dtype
 
 
+def _load_sparsetools():
+    """SciPy's compiled ``scipy.sparse._sparsetools``, loaded alone.
+
+    ``from scipy.sparse import _sparsetools`` would import the whole
+    ``scipy.sparse`` package (+15 MB RSS); only the extension file is
+    loaded here, found in ``scipy/sparse`` under its real module name,
+    without importing ``scipy`` itself.  Loading a single-phase
+    extension enters it in ``sys.modules``; it is taken out again, so a
+    later ``import scipy.sparse`` loads and binds its own module as
+    usual.
+    """
+    name = "scipy.sparse._sparsetools"
+    scipy = importlib.util.find_spec("scipy")
+    spec = scipy and importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(p, "sparse") for p in scipy.submodule_search_locations]
+    )
+    if spec is None:
+        raise ImportError(f"repro needs SciPy's {name} extension")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.pop(name, None)
+    return module
+
+
+_csc_matvecs = _load_sparsetools().csc_matvecs
+
+
+def _scatter_add(acc: np.ndarray, rows: np.ndarray, partial: np.ndarray) -> None:
+    """``acc[rows] += partial`` in one compiled pass.
+
+    NumPy's fancy-index add makes three passes (gather the accumulator
+    rows, add, scatter them back); SciPy's ``csc_matvecs`` kernel adds
+    ``S @ partial`` into ``acc`` in one, for the ``n_out x m`` selection
+    matrix ``S`` with a single 1.0 per column, at row ``rows[j]`` of
+    column ``j``.  It walks the columns in order and adds ``1.0 * x``
+    (exact) to each row, so every row gets the same float adds as the
+    fancy index gives it, ±0.0, ±inf and subnormals included; where
+    both operands are NaN the result keeps ``partial``'s payload.  A row
+    listed twice accumulates twice (the fancy index keeps one add), but
+    the rows of one kernel offset are unique.
+
+    The kernel checks nothing: it writes past the end for a bad row,
+    and into a converted copy (dropping the result) when ``acc`` is not
+    writable, aligned, C-contiguous float32.  So this wrapper checks
+    first, and raises before touching ``acc``.
+
+    Raises:
+        IndexError: a row is negative or ``>= len(acc)``.
+        ValueError: ``acc`` is not a writable, aligned, C-contiguous 2-D
+            float32 array, ``partial`` is not C-contiguous float32 of shape
+            ``(len(rows), acc.shape[1])``, or ``rows`` is not 1-D int64.
+    """
+    flags = acc.flags
+    if not (
+        acc.dtype == np.float32
+        and acc.ndim == 2
+        and flags.c_contiguous
+        and flags.aligned
+        and flags.writeable
+    ):
+        raise ValueError(
+            "scatter accumulator must be a writable, aligned, C-contiguous 2-D "
+            f"float32 array, got {acc.dtype} {acc.shape} (writeable="
+            f"{flags.writeable}, aligned={flags.aligned}, "
+            f"c_contiguous={flags.c_contiguous})"
+        )
+    if rows.dtype != np.int64 or rows.ndim != 1:
+        raise ValueError(
+            f"scatter rows must be 1-D int64, got {rows.dtype} {rows.shape}"
+        )
+    m, c = len(rows), acc.shape[1]
+    if not (
+        partial.dtype == np.float32
+        and partial.shape == (m, c)
+        and partial.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"scatter partial must be C-contiguous float32 of shape {(m, c)}, "
+            f"got {partial.dtype} {partial.shape} "
+            f"(c_contiguous={partial.flags.c_contiguous})"
+        )
+    if not m:
+        return
+    n = acc.shape[0]
+    if rows.min() < 0 or rows.max() >= n:
+        bad = rows[(rows < 0) | (rows >= n)][0]
+        raise IndexError(f"scatter row {bad} is out of bounds for {n} rows")
+    _csc_matvecs(
+        n,
+        m,
+        c,
+        np.arange(m + 1, dtype=np.int64),
+        rows,
+        np.ones(m, dtype=np.float32),
+        partial.reshape(-1),
+        acc.reshape(-1),
+    )
+
+
 def _is_identity(idx: np.ndarray, n: int) -> bool:
     """``idx`` is ``0, 1, ..., n - 1``."""
     return len(idx) == n and bool((idx == np.arange(n)).all())
@@ -446,10 +549,9 @@ def execute_gather_matmul_scatter(
                 acc += 0.0  # -0.0 reads +0.0, as the add into zeros gives
             else:
                 # within one offset each output index appears at most once
-                # (p = s*q + delta is injective in q), so plain indexed add
-                # is safe
+                # (p = s*q + delta is injective in q)
                 acc = np.zeros((kmap.n_out, c_out), dtype=np.float32)
-                acc[co] += partial
+                _scatter_add(acc, co, partial)
         cost = mm_cost(len(ci), c_in, c_out, cfg.dtype, device)
         record_gemm_cost(cost, "mm")
         with profile.span("matmul"):
@@ -492,7 +594,7 @@ def execute_gather_matmul_scatter(
                             partial, src, w[n], len(idx), f"matmul.o{n}"
                         )
                         integrity.absorb(partial)
-                    acc[kmap.out_indices[n]] += partial
+                    _scatter_add(acc, kmap.out_indices[n], partial)
             if group.use_bmm:
                 cost = bmm_cost(sizes, c_in, c_out, cfg.dtype, device)
                 record_gemm_cost(cost, "bmm")
@@ -609,7 +711,7 @@ def execute_fetch_on_demand(
                         partial, src, w[n], len(idx), f"fetch_on_demand.o{n}"
                     )
                     integrity.absorb(partial)
-                acc[kmap.out_indices[n]] += partial
+                _scatter_add(acc, kmap.out_indices[n], partial)
             t, nbytes, flops = fetch_on_demand_offset_cost(
                 len(idx), c_in, c_out, dtype, device
             )

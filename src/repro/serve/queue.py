@@ -94,18 +94,28 @@ class AdmissionQueue:
         shedding rules), then live entries are offered to ``predicate``
         oldest-first; rejected entries keep their relative FIFO order.
         ``predicate`` may be stateful — the scheduler's deadline-fit
-        closure tightens as the batch it is building grows.
+        closure tightens as the batch it is building grows.  It is not
+        called once ``limit`` requests are taken.  The queue is scanned
+        in place; only when something was taken is the scanned prefix
+        replaced by its rejects.
         """
         self.shed_expired(now)
         taken: list = []
-        kept: deque = deque()
-        while self._q:
-            req = self._q.popleft()
-            if len(taken) < limit and predicate(req):
+        kept: list = []
+        for req in self._q:
+            if len(taken) >= limit:
+                break
+            if predicate(req):
                 taken.append(req)
             else:
                 kept.append(req)
-        self._q = kept
+        if taken:
+            for _ in taken:
+                self._q.popleft()
+            for _ in kept:
+                self._q.popleft()
+            if kept:
+                self._q.extendleft(reversed(kept))
         return taken
 
     def drain(self) -> list:

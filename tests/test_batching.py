@@ -18,6 +18,8 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gpu.device import RTX_2080TI, RTX_3090
 from repro.obs.metrics import MetricsRegistry, use_registry
@@ -161,6 +163,40 @@ class TestQueueCoalescingPrimitives:
         taken = q.take_matching(lambda r: True, limit=2, now=0.0)
         assert [r.id for r in taken] == [0, 1]
         assert len(q) == 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        verdicts=st.lists(st.booleans(), max_size=12),
+        limit=st.integers(-1, 13),
+    )
+    def test_take_matching_scans_like_a_rebuild(self, verdicts, limit):
+        """The predicate sees the same requests in the same order as the
+        pop-and-re-append scan it replaced, and stops at ``limit``; the
+        taken requests and the FIFO of the rest are the same."""
+        def old_take(items, predicate):
+            taken, kept = [], []
+            for req in items:
+                if len(taken) < limit and predicate(req):
+                    taken.append(req)
+                else:
+                    kept.append(req)
+            return taken, kept
+
+        def recording(log):
+            def predicate(req):
+                log.append(req.id)
+                return verdicts[req.id]
+            return predicate
+
+        q, reqs = self._queue_with(len(verdicts))
+        before = q._q
+        seen, want_seen = [], []
+        taken = q.take_matching(recording(seen), limit, now=0.0)
+        want_taken, want_kept = old_take(reqs, recording(want_seen))
+        assert seen == want_seen
+        assert taken == want_taken
+        assert list(q._q) == want_kept
+        assert q._q is before  # edited in place, never rebuilt
 
     def test_take_matching_sheds_expired_first(self):
         sheds = []

@@ -1,9 +1,16 @@
 """Tests for dataflow execution: numerics against references, cost ladder."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import repro
 
 from repro.baselines import MinkowskiEngineLike, SpConvLike
 from repro.baselines.minkowski import minkowski_config
@@ -13,6 +20,7 @@ from repro.core.dataflow import (
     MovementConfig,
     _cast,
     _round_half,
+    _scatter_add,
     execute_fetch_on_demand,
     execute_gather_matmul_scatter,
     gather_record,
@@ -465,27 +473,40 @@ class TestCast:
 
 ZOO = {e.key: e for e in MODEL_ZOO}
 
-
-@pytest.mark.parametrize("engine", [
-    lambda: BaseEngine(config=EngineConfig.torchsparse(dtype=DType.FP16)),
-    lambda: SpConvLike(fp16=True),
+FP16_ENGINES = {
+    "torchsparse": lambda: BaseEngine(
+        config=EngineConfig.torchsparse(dtype=DType.FP16)
+    ),
+    "spconv": lambda: SpConvLike(fp16=True),
     # below its map-size threshold: the fetch-on-demand dataflow
-    lambda: MinkowskiEngineLike(config=minkowski_config(dtype=DType.FP16)),
-], ids=["torchsparse", "spconv", "minkowski-fetch-on-demand"])
-@pytest.mark.parametrize("key", ["minkunet_0.5x_kitti", "centerpoint_1f_waymo"])
-def test_fp16_engines_match_numpy_round_trip(key, engine, monkeypatch):
-    """Whole forwards give the same bits with ``_cast`` as shipped and
-    with FP16 cast by NumPy's float16 round trip, on any platform."""
+    "minkowski-fetch-on-demand": lambda: MinkowskiEngineLike(
+        config=minkowski_config(dtype=DType.FP16)
+    ),
+}
+
+
+def zoo_forward(key, engine):
+    """A zero-argument forward of zoo model ``key`` on a fresh ``engine``
+    per call, returning every head's array."""
     entry = ZOO[key]
     model = entry.make_model()
     x = entry.make_dataset().sample_tensor(seed=0, scale=0.03)
 
     def forward():
         with use_registry(MetricsRegistry()):
-            out = model(x, ExecutionContext(engine=engine()))
+            out = model(x, ExecutionContext(engine=FP16_ENGINES[engine]()))
         heads = out if isinstance(out, dict) else {"out": out}
         return {k: getattr(v, "feats", v) for k, v in heads.items()}
 
+    return forward
+
+
+@pytest.mark.parametrize("engine", list(FP16_ENGINES))
+@pytest.mark.parametrize("key", ["minkunet_0.5x_kitti", "centerpoint_1f_waymo"])
+def test_fp16_engines_match_numpy_round_trip(key, engine, monkeypatch):
+    """Whole forwards give the same bits with ``_cast`` as shipped and
+    with FP16 cast by NumPy's float16 round trip, on any platform."""
+    forward = zoo_forward(key, engine)
     shipped = forward()
     cast = _cast
 
@@ -499,3 +520,184 @@ def test_fp16_engines_match_numpy_round_trip(key, engine, monkeypatch):
     assert shipped.keys() == oracle.keys()
     for k in shipped:
         assert np.array_equal(shipped[k], oracle[k]), k
+
+
+@pytest.mark.parametrize("engine", list(FP16_ENGINES))
+@pytest.mark.parametrize("key", ["minkunet_0.5x_kitti", "centerpoint_1f_waymo"])
+def test_engines_match_fancy_index_scatter(key, engine, monkeypatch):
+    """Whole forwards through every scatter site (center, grouped
+    offsets, fetch-on-demand) give the same bits with ``_scatter_add``
+    and with NumPy's fancy-index add."""
+    forward = zoo_forward(key, engine)
+    calls = []
+
+    def counted(acc, rows, partial):
+        calls.append(len(rows))
+        _scatter_add(acc, rows, partial)
+
+    monkeypatch.setattr("repro.core.dataflow._scatter_add", counted)
+    shipped = forward()
+    assert calls
+
+    def fancy(acc, rows, partial):
+        acc[rows] += partial
+
+    monkeypatch.setattr("repro.core.dataflow._scatter_add", fancy)
+    oracle = forward()
+    assert shipped.keys() == oracle.keys()
+    for k in shipped:
+        got, want = np.asarray(shipped[k]), np.asarray(oracle[k])
+        assert got.dtype == want.dtype and got.shape == want.shape, k
+        assert got.tobytes() == want.tobytes(), k
+
+
+#: float32 values the scatter must add exactly as NumPy does
+SCATTER_SPECIALS = np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 3.4028235e38,
+     -3.4028235e38, 1.1754944e-38, -1.1754944e-38],
+    dtype=np.float32,
+)
+#: quiet and signalling NaNs with payloads, and subnormals, by bits
+SCATTER_SPECIAL_BITS = np.array(
+    [0x7FC00001, 0xFFC00000, 0x7F800001, 0xFFBFFFFF,
+     0x00000001, 0x80000001, 0x007FFFFF, 0x807FFFFF, 0x00400000],
+    dtype=np.uint32,
+).view(np.float32)
+
+
+def scatter_values(rng, shape, extra):
+    """Random float32 of ``shape``, about a third of them drawn from the
+    special values plus ``extra``."""
+    pool = np.concatenate(
+        [SCATTER_SPECIALS, SCATTER_SPECIAL_BITS, np.asarray(extra, np.float32)]
+    )
+    a = rng.standard_normal(shape) * 10.0 ** rng.integers(-45, 39, shape)
+    with np.errstate(over="ignore"):  # past float32's range: inf
+        a = a.astype(np.float32)
+    pick = rng.random(shape) < 0.35
+    a[pick] = pool[rng.integers(0, len(pool), int(pick.sum()))]
+    return a
+
+
+def bad_scatter_calls():
+    """``name -> (acc, rows, partial, error)``: fresh arguments the
+    scatter must refuse."""
+    n, c, m = 6, 4, 3
+    acc = np.arange(n * c, dtype=np.float32).reshape(n, c)
+    rows = np.array([4, 0, 2], np.int64)
+    partial = np.ones((m, c), np.float32)
+    read_only = acc.copy()
+    read_only.flags.writeable = False
+    return {
+        "negative row": (acc, rows - 1, partial, IndexError),
+        "row == n_out": (acc, rows + 2, partial, IndexError),
+        "row past n_out": (acc, rows + (1 << 40), partial, IndexError),
+        "length mismatch": (acc, rows[:2], partial, ValueError),
+        "partial width": (acc, rows, np.ones((m, c + 1), np.float32), ValueError),
+        "float64 acc": (acc.astype(np.float64), rows, partial, ValueError),
+        "strided acc": (np.zeros((n, 2 * c), np.float32)[:, ::2], rows,
+                        partial, ValueError),
+        "fortran acc": (np.asfortranarray(acc), rows, partial, ValueError),
+        "read-only acc": (read_only, rows, partial, ValueError),
+        "int32 rows": (acc, rows.astype(np.int32), partial, ValueError),
+        "float64 partial": (acc, rows, partial.astype(np.float64), ValueError),
+        "strided partial": (acc, rows, np.ones((m, 2 * c), np.float32)[:, ::2],
+                            ValueError),
+    }
+
+
+class TestScatterAdd:
+    """``_scatter_add`` is ``acc[rows] += partial`` in one compiled pass."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n_out=st.integers(1, 48),
+        cols=st.integers(1, 256),
+        frac=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+        extra=st.lists(
+            st.floats(width=32, allow_subnormal=True), max_size=6
+        ),
+    )
+    def test_matches_fancy_index_add(self, n_out, cols, frac, seed, extra):
+        rng = np.random.default_rng(seed)
+        m = int(round(frac * n_out))  # 0 (empty rows) up to every row
+        rows = rng.choice(n_out, size=m, replace=False).astype(np.int64)
+        acc = scatter_values(rng, (n_out, cols), extra)
+        partial = scatter_values(rng, (m, cols), extra)
+        want = acc.copy()
+        with np.errstate(all="ignore"):  # inf - inf, overflow
+            want[rows] += partial
+        got = acc.copy()
+        _scatter_add(got, rows, partial)
+        # NaN lanes: the kernel keeps partial's payload where both
+        # operands are NaN, NumPy may keep the accumulator's
+        nan = np.isnan(want)
+        np.testing.assert_array_equal(np.isnan(got), nan)
+        np.testing.assert_array_equal(
+            got[~nan].view(np.uint32), want[~nan].view(np.uint32)
+        )
+
+    def test_adds_in_place_without_warnings(self):
+        acc = np.array([[np.inf, 1.0]], dtype=np.float32)
+        with np.errstate(all="raise"):
+            _scatter_add(acc, np.zeros(1, np.int64),
+                         np.array([[-np.inf, 2.0]], np.float32))
+        assert np.isnan(acc[0, 0]) and acc[0, 1] == 3.0
+
+    @pytest.mark.parametrize("case", list(bad_scatter_calls()))
+    def test_rejects_and_leaves_acc_untouched(self, case):
+        acc, rows, partial, error = bad_scatter_calls()[case]
+        before = acc.tobytes()
+        with pytest.raises(error):
+            _scatter_add(acc, rows, partial)
+        assert acc.tobytes() == before
+
+
+def test_scatter_leaves_scipy_sparse_unimported():
+    """The kernel's extension is loaded alone: a CLI import and a
+    computed forward leave ``scipy.sparse`` unimported (it costs 15 MB),
+    and importing it afterwards still works and adds the same bits."""
+    script = textwrap.dedent("""
+        import sys
+        import numpy as np
+        import repro.cli
+        from repro.core import dataflow
+        from repro.core.engine import BaseEngine, EngineConfig, ExecutionContext
+        from repro.models import MODEL_ZOO
+
+        entry = next(e for e in MODEL_ZOO if e.key == "minkunet_0.5x_kitti")
+        x = entry.make_dataset().sample_tensor(seed=0, scale=0.03)
+        calls = []
+        scatter = dataflow._scatter_add
+        dataflow._scatter_add = lambda *a: (calls.append(1), scatter(*a))
+        entry.make_model()(x, ExecutionContext(engine=BaseEngine(
+            EngineConfig.torchsparse())))
+        assert calls
+        loaded = [m for m in sys.modules if m.split(".")[:2] == ["scipy", "sparse"]]
+        assert not loaded, loaded
+
+        import scipy.sparse
+
+        rng = np.random.default_rng(0)
+        rows = rng.permutation(50)[:30]
+        partial = rng.standard_normal((30, 7)).astype(np.float32)
+        acc = rng.standard_normal((50, 7)).astype(np.float32)
+        got, want = acc.copy(), acc.copy()
+        scatter(got, rows, partial)
+        scipy.sparse._sparsetools.csc_matvecs(
+            50, 30, 7, np.arange(31), rows, np.ones(30, np.float32),
+            partial.ravel(), want.reshape(-1))
+        assert got.tobytes() == want.tobytes()
+        sel = scipy.sparse.csc_matrix(
+            (np.ones(30, np.float32), rows, np.arange(31)), shape=(50, 30))
+        dense = np.eye(50, dtype=np.float32)[:, rows]
+        assert np.array_equal(sel @ partial, dense @ partial)
+        print("ok")
+    """)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
