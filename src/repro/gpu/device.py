@@ -14,7 +14,7 @@ minor share of the end-to-end gain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from repro.gpu.memory import DType
 
@@ -52,6 +52,20 @@ class GPUSpec:
     def __post_init__(self) -> None:
         if self.blocks_half <= 0:
             object.__setattr__(self, "blocks_half", self.sm_count)
+        # frozen, so the field hash never changes: a memo keyed by a spec
+        # (the serve oracle reads one per scheduling decision) takes it
+        # from here instead of re-hashing every field
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a string's hash is per-process
+        return type(self), self._values()
 
     # -- throughput queries -------------------------------------------------
 

@@ -133,6 +133,9 @@ class BatchNorm(Module):
         self.params = [self.gamma, self.beta]
 
     def forward(self, x: SparseTensor, ctx: ExecutionContext) -> SparseTensor:
+        if not ctx.numerics:
+            # pricing reads shapes only: the features pass through
+            return ctx.engine.pointwise(x, x.feats, ctx, self.name)
         scale = self.gamma / np.sqrt(self.running_var + self.eps)
         feats = x.feats * scale
         feats += self.beta - self.running_mean * scale
@@ -145,7 +148,8 @@ class ReLU(Module):
     """Elementwise rectifier."""
 
     def forward(self, x: SparseTensor, ctx: ExecutionContext) -> SparseTensor:
-        return ctx.engine.pointwise(x, np.maximum(x.feats, 0), ctx, self.name)
+        feats = np.maximum(x.feats, 0) if ctx.numerics else x.feats
+        return ctx.engine.pointwise(x, feats, ctx, self.name)
 
 
 class Linear(Module):
@@ -253,9 +257,8 @@ class Residual(Module):
             out.coords, skip.coords
         ):
             raise ValueError(f"{self.name}: residual branches diverged in coords")
-        summed = ctx.engine.pointwise(
-            out, out.feats + skip.feats, ctx, f"{self.name}.add"
-        )
+        feats = out.feats + skip.feats if ctx.numerics else out.feats
+        summed = ctx.engine.pointwise(out, feats, ctx, f"{self.name}.add")
         return self.relu(summed, ctx)
 
 

@@ -132,18 +132,19 @@ def least_loaded(
 ) -> int:
     """Index of the least-loaded eligible device (ties go lowest index).
 
-    The one placement primitive shared by LPT sharding and the serving
-    layer's dispatch/hedging.  Raises ``ValueError`` when no device is
-    eligible.
+    The placement primitive of the serving layer's dispatch and
+    hedging.  Raises ``ValueError`` when no device is eligible.
     """
-    candidates = [
-        d
-        for d in range(len(loads))
-        if eligible is None or eligible[d]
-    ]
-    if not candidates:
+    # one pass, keeping the first device no later one strictly beats:
+    # the same pick as ``min`` over ``(load, index)`` keys, NaN included
+    best = -1
+    best_load = 0.0
+    for d, load in enumerate(loads):
+        if (eligible is None or eligible[d]) and (best < 0 or load < best_load):
+            best, best_load = d, load
+    if best < 0:
         raise ValueError("no eligible device")
-    return min(candidates, key=lambda d: (loads[d], d))
+    return best
 
 
 def device_labels(devices: Sequence[GPUSpec]) -> list:

@@ -40,7 +40,7 @@ other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 from repro.gpu.memory import DType
 from repro.robust.integrity import IntegrityConfig
@@ -166,6 +166,20 @@ class QualityConfig:
     dtype: DType | None = None
     voxel_scale: int = 1
     speedup: float = 1.0
+
+    def __post_init__(self) -> None:
+        # frozen: hash the fields once for the serve oracle's memo key
+        object.__setattr__(self, "_hash", hash(self._values()))
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f.name) for f in fields(self))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # rebuilt through __init__: a string's hash is per-process
+        return type(self), self._values()
 
     @property
     def degraded(self) -> bool:

@@ -76,9 +76,8 @@ class LatencyOracle:
         self.scale = scale
         self.seed = seed
         self.overrides = dict(overrides or {})
+        #: (model_key, spec, n, warm, quality) -> attempt time
         self._latency: dict = {}
-        #: (model_key, spec, n, warm, quality) -> batched attempt time
-        self._batch_latency: dict = {}
         self._models: dict = {}
         self._inputs: dict = {}
         #: (model_key, voxel_scale) -> requantized coarse input
@@ -167,7 +166,7 @@ class LatencyOracle:
         warm: bool = False,
         quality: QualityConfig | None = None,
     ) -> float:
-        """Modeled latency of one frame.
+        """Modeled latency of one frame (:meth:`batch_latency` at ``n=1``).
 
         ``warm=True`` prices a *warm* frame: the device already served
         this scene, so every mapping-stage artifact (coordinate tables,
@@ -184,14 +183,10 @@ class LatencyOracle:
         engine) the rung's modeled ``speedup`` divides the override.
         """
         quality = FULL_QUALITY if quality is None else quality
-        if model_key in self.overrides:
-            return float(self.overrides[model_key]) / quality.speedup
-        memo_key = (model_key, spec, bool(warm), quality)
-        if memo_key not in self._latency:
-            self._latency[memo_key] = self._price(
-                model_key, spec, 1, warm, quality
-            )
-        return self._latency[memo_key]
+        latency = self._latency.get((model_key, spec, 1, warm, quality))
+        if latency is None:
+            return self._miss(model_key, spec, 1, warm, quality)
+        return latency
 
     def batch_latency(
         self,
@@ -209,34 +204,49 @@ class LatencyOracle:
         quality)``, memoized — so the sublinear batch cost
         (kernel-launch and bmm-padding amortization under adaptive
         grouping) comes out of the same cost model as everything else.
-        ``n=1`` delegates to :meth:`base_latency`, keeping single
-        dispatches priced identically whether or not batching is
-        enabled.
+        A memo hit is one dict probe: specs and QoS rungs hash their
+        fields once, at construction.
 
         On the overrides path (no engine) a batch of ``n`` is priced
         ``override * (OVERRIDE_BATCH_ALPHA + (1 - alpha) * n)``:
         per-frame cost strictly decreasing in ``n``, divided by the
         QoS rung's modeled speedup like :meth:`base_latency`.
         """
+        quality = FULL_QUALITY if quality is None else quality
+        latency = self._latency.get((model_key, spec, n, warm, quality))
+        if latency is None:
+            return self._miss(model_key, spec, n, warm, quality)
+        return latency
+
+    def _miss(
+        self,
+        model_key: str,
+        spec: GPUSpec,
+        n: int,
+        warm: bool,
+        quality: QualityConfig,
+    ) -> float:
+        """A memo miss: validate, take an override, or price and memoize."""
         if n < 1:
             raise ValueError(f"batch size must be >= 1, got {n}")
-        if n == 1:
-            return self.base_latency(model_key, spec, warm=warm, quality=quality)
-        quality = FULL_QUALITY if quality is None else quality
         if model_key in self.overrides:
             base = float(self.overrides[model_key]) / quality.speedup
+            if n == 1:
+                return base
             return base * (
                 OVERRIDE_BATCH_ALPHA + (1.0 - OVERRIDE_BATCH_ALPHA) * n
             )
         memo_key = (model_key, spec, int(n), bool(warm), quality)
-        if memo_key not in self._batch_latency:
-            # the n=1 anchor is priced first: the device cache's
-            # contents, and so warm prices, depend on pricing order
-            self.base_latency(model_key, spec, warm=warm, quality=quality)
-            self._batch_latency[memo_key] = self._price(
-                model_key, spec, n, warm, quality
+        latency = self._latency.get(memo_key)
+        if latency is None:
+            if n > 1:
+                # the n=1 anchor is priced first: the device cache's
+                # contents, and so warm prices, depend on pricing order
+                self.base_latency(model_key, spec, warm=warm, quality=quality)
+            latency = self._latency[memo_key] = self._price(
+                model_key, spec, int(n), bool(warm), quality
             )
-        return self._batch_latency[memo_key]
+        return latency
 
     def mean_latency(self, model_keys, specs) -> float:
         """Mean base latency over a traffic mix x fleet (scale anchor

@@ -340,6 +340,8 @@ class Server:
             config.queue_capacity, on_shed=self._on_queue_shed
         )
         self.rng = np.random.default_rng(config.seed + 1)
+        #: every arrival's trace id is this seed prefix plus its own id
+        self._trace_prefix = f"{config.seed & 0xFFFFFFFF:08x}-"
         self.now = 0.0
         self._heap: list = []
         self._seq = 0
@@ -576,7 +578,7 @@ class Server:
         self._emit(
             "arrival", req,
             model=req.model, scene=req.scene, deadline=req.deadline,
-            trace=f"{self.config.seed & 0xFFFFFFFF:08x}-{req.id:06d}",
+            trace=f"{self._trace_prefix}{req.id:06d}",
         )
         if self.queue.offer(req, self.now):
             self._emit("admit", req, retries=req.retries)
@@ -644,10 +646,11 @@ class Server:
         dispatch right now without pushing any member — itself
         included — past its deadline at the grown batch's modeled
         service time.  A request too tight to survive the larger batch
-        stays queued and will lead its own (likely solo) batch.
+        stays queued and will lead its own (likely solo) batch.  An
+        empty queue has nothing to shed or take, so it is not scanned.
         """
         limit = self.max_batch - len(fb.members)
-        if limit <= 0:
+        if limit <= 0 or not self.queue:
             return
 
         def fits(req: Request) -> bool:
@@ -727,6 +730,8 @@ class Server:
 
     def _feed_forming(self) -> None:
         """Offer queued requests to every batch still forming."""
+        if not self.queue:
+            return
         for d in sorted(self._forming):
             fb = self._forming.get(d)
             if fb is None:

@@ -454,6 +454,30 @@ class TestBatchedCampaign:
         served = sum(1 for r in report.requests if r.devices)
         assert 0 < report.attempts < served
 
+    def test_formation_never_scans_an_empty_queue(self, monkeypatch):
+        """An empty queue sheds and takes nothing, so batch formation
+        must not scan it: every ``take_matching`` call finds work."""
+        depths = []
+        take = AdmissionQueue.take_matching
+
+        def recording(queue, predicate, limit, now):
+            depths.append(len(queue))
+            return take(queue, predicate, limit, now)
+
+        monkeypatch.setattr(AdmissionQueue, "take_matching", recording)
+        report, _ = campaign(
+            make_config(
+                batching=BatchingConfig(max_batch=4), steady_state=True
+            ),
+            make_traffic(rate=700.0, duration=0.4, coherence=0.8),
+            specs=[FaultSpec(kind="device_crash", count=2)],
+        )
+        assert report.all_terminal and report.mean_batch_size > 1.0
+        assert len(depths) > 100
+        assert min(depths) > 0, (
+            f"{depths.count(0)} of {len(depths)} scans found the queue empty"
+        )
+
 
 class TestJournalValidation:
     def _base(self):

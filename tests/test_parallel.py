@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.engine import TorchSparseEngine
 from repro.core.sparse_tensor import SparseTensor
@@ -202,6 +204,72 @@ class TestLeastLoaded:
     def test_no_eligible_raises(self):
         with pytest.raises(ValueError, match="no eligible device"):
             least_loaded([1.0], [False])
+
+    @staticmethod
+    def min_over_candidates(loads, eligible=None):
+        """The former implementation, kept as the oracle: a candidate
+        list and a ``(load, index)`` key."""
+        candidates = [
+            d for d in range(len(loads)) if eligible is None or eligible[d]
+        ]
+        if not candidates:
+            raise ValueError("no eligible device")
+        return min(candidates, key=lambda d: (loads[d], d))
+
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, 2.5, float("inf"), float("nan")]),
+                    st.floats(allow_nan=True),
+                    st.integers(-3, 3),
+                ),
+                st.booleans(),
+            ),
+            max_size=8,
+        ),
+        masked=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_min_over_candidates(self, cells, masked):
+        loads = [load for load, _ in cells]
+        eligible = [ok for _, ok in cells] if masked else None
+        try:
+            want = self.min_over_candidates(loads, eligible)
+        except ValueError:
+            with pytest.raises(ValueError, match="no eligible device"):
+                least_loaded(loads, eligible)
+            return
+        assert least_loaded(loads, eligible) == want
+
+    @given(
+        load=st.floats(allow_nan=False), n=st.integers(1, 6),
+        first=st.integers(0, 5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_ties_go_to_the_lowest_eligible_index(self, load, n, first):
+        first = min(first, n - 1)
+        eligible = [d >= first for d in range(n)]
+        assert least_loaded([load] * n, eligible) == first
+        assert least_loaded([load] * n) == 0
+
+    @given(
+        loads=st.lists(st.floats(allow_nan=False), min_size=1, max_size=8),
+        pick=st.integers(0, 7),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_single_eligible_device_wins(self, loads, pick):
+        pick = min(pick, len(loads) - 1)
+        eligible = [d == pick for d in range(len(loads))]
+        assert least_loaded(loads, eligible) == pick
+
+    @pytest.mark.parametrize("loads,eligible", [
+        ([], None), ([], []), ([0.0, 1.0], [False, False]),
+        ([float("nan")], [0]),
+    ])
+    def test_nothing_eligible_raises(self, loads, eligible):
+        with pytest.raises(ValueError, match="no eligible device"):
+            least_loaded(loads, eligible)
 
 
 class TestLazyLatencyMatrix:

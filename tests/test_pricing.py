@@ -136,7 +136,12 @@ class TestPricedEqualsComputed:
 
 @pytest.fixture
 def no_numerics(monkeypatch):
-    """Make the feature numerics of the costly kernels unreachable."""
+    """Make the feature numerics of the costly kernels unreachable.
+
+    Pointwise modules (BatchNorm, ReLU, the residual add) must hand a
+    pricing context's input features through unchanged: any array but
+    ``x.feats`` itself means they computed new values.
+    """
 
     def refuse(*_args, **_kwargs):
         raise AssertionError("a pricing forward ran the numerics")
@@ -144,6 +149,18 @@ def no_numerics(monkeypatch):
     monkeypatch.setattr("repro.core.dataflow._cast", refuse)
     monkeypatch.setattr("repro.nn.dense._live_pixels", refuse)
     monkeypatch.setattr("repro.nn.dense.im2col", refuse)
+    pointwise = BaseEngine.pointwise
+    passed = []
+
+    def passthrough_only(self, x, feats, ctx, name, *args, **kwargs):
+        if not ctx.numerics:
+            if feats is not x.feats:
+                raise AssertionError(f"a pricing forward computed {name}")
+            passed.append(name)
+        return pointwise(self, x, feats, ctx, name, *args, **kwargs)
+
+    monkeypatch.setattr(BaseEngine, "pointwise", passthrough_only)
+    return passed
 
 
 class TestPricingSkipsNumerics:
@@ -153,6 +170,7 @@ class TestPricingSkipsNumerics:
             ctx = ExecutionContext(engine=engine, numerics=False)
             model_for(key)(input_for(key), ctx)
             assert ctx.profile.total_time > 0
+        assert no_numerics, "no pointwise module was priced"
 
     def test_oracle_prices_without_numerics(self, no_numerics):
         oracle = LatencyOracle(ts(), scale=SCALE)

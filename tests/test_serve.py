@@ -748,6 +748,161 @@ class TestLatencyOracle:
             LatencyOracle(BaseEngine()).base_latency("nope", RTX_2080TI)
 
 
+class TestOracleLookupContract:
+    """A memo read is keyed by field values, never by object identity.
+
+    Specs and QoS rungs hash their fields once, at construction; the
+    oracle's memo must still treat an equal copy as the same key and a
+    copy differing in any one field as a new one.
+    """
+
+    MODEL = "minkunet_0.5x_kitti"
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """An engine-priced oracle that counts its priced forwards."""
+        from repro.core.engine import BaseEngine
+        from repro.serve.cluster import LatencyOracle
+
+        oracle = LatencyOracle(BaseEngine(), scale=0.03)
+        priced = []
+        price = oracle._price
+
+        def counting(*args):
+            priced.append(args)
+            return price(*args)
+
+        monkeypatch.setattr(oracle, "_price", counting)
+        return oracle, priced
+
+    def test_equal_copy_reads_the_memoized_float(self, counted):
+        from dataclasses import replace
+
+        from repro.robust.degrade import FULL_QUALITY
+
+        oracle, priced = counted
+        for n in (1, 2):
+            for warm in (False, True):
+                a = oracle.batch_latency(self.MODEL, RTX_3090, n, warm=warm)
+                before = len(priced)
+                spec, quality = replace(RTX_3090), replace(FULL_QUALITY)
+                assert spec is not RTX_3090 and spec == RTX_3090
+                assert quality is not FULL_QUALITY and quality == FULL_QUALITY
+                b = oracle.batch_latency(
+                    self.MODEL, spec, n, warm=warm, quality=quality
+                )
+                assert b.hex() == a.hex()
+                assert len(priced) == before
+        assert oracle.base_latency(self.MODEL, replace(RTX_3090)) == (
+            oracle.batch_latency(self.MODEL, RTX_3090, 1)
+        )
+
+    @pytest.mark.parametrize("name", [
+        "name", "dram_bandwidth", "fp32_tflops", "fp16_tflops",
+        "has_fp16_tensor_cores", "l2_bytes", "sm_count", "launch_overhead",
+        "blocks_half",
+    ])
+    def test_spec_differing_in_one_field_is_priced_on_its_own(
+        self, counted, name
+    ):
+        from dataclasses import fields, replace
+
+        assert name in {f.name for f in fields(RTX_3090)}
+        oracle, priced = counted
+        oracle.base_latency(self.MODEL, RTX_3090)
+        value = getattr(RTX_3090, name)
+        if isinstance(value, bool):
+            other = not value
+        elif isinstance(value, str):
+            other = value + "*"
+        else:
+            other = value * 2
+        spec = replace(RTX_3090, **{name: other})
+        assert spec != RTX_3090
+        before = len(priced)
+        oracle.base_latency(self.MODEL, spec)
+        assert len(priced) == before + 1
+        assert priced[-1][1] is spec
+
+    @pytest.mark.parametrize("change", [
+        {"dtype": "INT8"}, {"voxel_scale": 2}, {"speedup": 2.0},
+    ])
+    def test_rung_differing_in_one_field_is_priced_on_its_own(
+        self, counted, change
+    ):
+        from dataclasses import replace
+
+        from repro.gpu.memory import DType
+        from repro.robust.degrade import FULL_QUALITY
+
+        oracle, priced = counted
+        oracle.batch_latency(self.MODEL, RTX_3090, 2)
+        if "dtype" in change:
+            change = {"dtype": DType[change["dtype"]]}
+        quality = replace(FULL_QUALITY, **change)
+        assert quality != FULL_QUALITY
+        before = len(priced)
+        oracle.batch_latency(self.MODEL, RTX_3090, 2, quality=quality)
+        # the n=1 anchor, then the batch
+        assert [args[2] for args in priced[before:]] == [1, 2]
+        assert all(args[4] is quality for args in priced[before:])
+
+    def test_equal_specs_and_rungs_hash_equal(self):
+        import copy
+        import pickle
+        from dataclasses import fields, replace
+
+        from repro.gpu.memory import DType
+        from repro.robust.degrade import FULL_QUALITY, QualityConfig
+
+        rung = QualityConfig(dtype=DType.INT8, voxel_scale=2, speedup=1.5)
+        for obj in (RTX_3090, GTX_1080TI, FULL_QUALITY, rung):
+            values = tuple(getattr(obj, f.name) for f in fields(obj))
+            for twin in (
+                replace(obj),
+                type(obj)(*values),
+                copy.copy(obj),
+                copy.deepcopy(obj),
+                pickle.loads(pickle.dumps(obj)),
+            ):
+                assert twin == obj
+                assert hash(twin) == hash(obj) == hash(values)
+        assert hash(replace(RTX_3090, sm_count=RTX_3090.sm_count + 1)) != (
+            hash(RTX_3090)
+        )
+
+    def test_spec_pickled_under_another_hash_seed_hashes_locally(self):
+        """String hashes differ per process: a cached hash must not
+        travel with a pickled spec or rung."""
+        import os
+        import pickle
+        import subprocess
+        import sys
+
+        import repro
+        from repro.gpu.memory import DType
+        from repro.robust.degrade import QualityConfig
+
+        code = (
+            "import pickle, sys\n"
+            "from repro.gpu.device import RTX_3090\n"
+            "from repro.gpu.memory import DType\n"
+            "from repro.robust.degrade import QualityConfig\n"
+            "q = QualityConfig(dtype=DType.INT8, voxel_scale=2)\n"
+            "sys.stdout.buffer.write(pickle.dumps((RTX_3090, q)))\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, timeout=300,
+        ).stdout
+        spec, rung = pickle.loads(out)
+        assert spec == RTX_3090 and hash(spec) == hash(RTX_3090)
+        local = QualityConfig(dtype=DType.INT8, voxel_scale=2)
+        assert rung == local and hash(rung) == hash(local)
+
+
 class TestSilentDataCorruption:
     """The fleet-level SDC hole and its ABFT fix (verify_integrity)."""
 
