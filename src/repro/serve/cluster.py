@@ -56,6 +56,15 @@ class DeviceWorker:
 class LatencyOracle:
     """Modeled base latency per (zoo model key, device spec), memoized.
 
+    A *cold* price is one forward without a mapping cache.  A *warm*
+    price is one forward through the device's persistent
+    :class:`~repro.mapping.cache.MappingCache` after a priming forward
+    of the same input has filled it: its mapping stage bills whatever
+    the cache does not hold by then (at small scales grid tables can
+    evict kernel maps, which are rebuilt and billed).  A priming forward
+    that took no mapping-cache hit ran exactly as a cold forward does,
+    so it is memoized as the cold price of the same key.
+
     Args:
         engine: engine whose config prices the latency.
         scale: dataset sample scale fed to ``sample_tensor``.
@@ -136,9 +145,16 @@ class LatencyOracle:
 
         Runs through pricing-only contexts (``numerics=False``): every
         modeled record comes out as in a computed forward, without the
-        casts, gathers and matmuls.  ``warm`` first prices a cold frame
-        into the device's persistent mapping cache, then prices a second
-        frame of the same scene through it.
+        casts, gathers and matmuls.  ``warm`` first primes the device's
+        persistent mapping cache with a forward of the same input, then
+        prices a second forward through it.  The priming forward is
+        memoized as the cold price of the same key when that is not
+        memoized yet and the forward took no mapping-cache hit: the
+        cache then only stored what it built, so every record is the
+        cache-less forward's.  A hit (an INT8 rung over full-resolution
+        coordinates, or another model over the same input) would bill
+        less mapping than a cold frame, so the cold key keeps its own
+        cache-less forward.
         """
         if model_key not in self._models:
             entry = self._entry(model_key)
@@ -152,7 +168,16 @@ class LatencyOracle:
             x = batch_collate([x] * n)
         engine = self._engine_for(quality)
         cache = self.mapcache(spec) if warm else None
-        for _ in range(2 if warm else 1):
+        ctx = ExecutionContext(
+            engine=engine, device=spec, mapcache=cache, numerics=False
+        )
+        model(x, ctx)
+        if warm:
+            cold_key = (model_key, spec, n, False, quality)
+            if cold_key not in self._latency and not any(
+                r.name.startswith("mapcache.hit.") for r in ctx.profile.records
+            ):
+                self._latency[cold_key] = ctx.profile.total_time
             ctx = ExecutionContext(
                 engine=engine, device=spec, mapcache=cache, numerics=False
             )
@@ -169,11 +194,12 @@ class LatencyOracle:
         """Modeled latency of one frame (:meth:`batch_latency` at ``n=1``).
 
         ``warm=True`` prices a *warm* frame: the device already served
-        this scene, so every mapping-stage artifact (coordinate tables,
-        downsampled coordinates, kernel maps) comes out of the device's
-        persistent :class:`~repro.mapping.cache.MappingCache` and the
-        mapping stage collapses to (modeled) zero.  Latency overrides
-        bypass the engine for both temperatures.
+        this scene, so the frame runs once through the device's
+        persistent :class:`~repro.mapping.cache.MappingCache` primed
+        with the same input, and its mapping-stage artifacts
+        (coordinate tables, downsampled coordinates, kernel maps) come
+        out of the cache as far as the cache still holds them.  Latency
+        overrides bypass the engine for both temperatures.
 
         ``quality`` prices a browned-out frame
         (:class:`~repro.robust.degrade.QualityConfig`): the engine runs
@@ -263,3 +289,24 @@ class LatencyOracle:
                 uniq.append(s)
         lats = [self.base_latency(m, s) for m in model_keys for s in uniq]
         return sum(lats) / len(lats) if lats else 0.0
+
+    def prewarm(
+        self, model_keys, specs, max_batch: int, qualities, warm: bool
+    ) -> None:
+        """Price every batch size up to ``max_batch``, model, spec and
+        QoS rung (``None`` is full quality) a campaign may ask for, cold
+        and (with ``warm``) warm.
+
+        The warm price is asked for first, so its priming forward can
+        stand in for the cold price (:meth:`_price`).  Cold forwards run
+        without a cache, so asking for them later moves no warm price.
+        """
+        for n in range(1, max_batch + 1):
+            for model in model_keys:
+                for spec in specs:
+                    for q in qualities:
+                        if warm:
+                            self.batch_latency(
+                                model, spec, n, warm=True, quality=q
+                            )
+                        self.batch_latency(model, spec, n, quality=q)

@@ -903,6 +903,101 @@ class TestOracleLookupContract:
         assert rung == local and hash(rung) == hash(local)
 
 
+class TestOraclePrewarm:
+    """A warm price's priming forward doubles as the cold price only
+    when it took no mapping-cache hit, and a campaign prices each SLO
+    budget once per model."""
+
+    KITTI = ("minkunet_0.5x_kitti", "minkunet_1.0x_kitti")
+    SCALE = 0.04
+
+    @pytest.fixture
+    def contexts(self, monkeypatch):
+        """Every pricing context the oracle opens: one per forward."""
+        import repro.serve.cluster as cluster
+
+        opened = []
+        make = cluster.ExecutionContext
+
+        def counting(*args, **kwargs):
+            ctx = make(*args, **kwargs)
+            opened.append(ctx)
+            return ctx
+
+        monkeypatch.setattr(cluster, "ExecutionContext", counting)
+        return opened
+
+    def test_steady_prewarm_runs_one_priming_and_one_warm_forward(
+        self, contexts
+    ):
+        config = ServeConfig(
+            devices=(RTX_3090,), batching=BatchingConfig(max_batch=4),
+            steady_state=True, scale=self.SCALE, seed=7,
+        )
+        traffic = TrafficConfig(
+            rate=100.0, duration=0.05, models=self.KITTI[:1], seed=7,
+            coherence=0.8,
+        )
+        with use_registry(MetricsRegistry()):
+            run_serve_campaign(config, traffic)
+        # 4 batch sizes x (priming + warm); the cold prices are the
+        # priming forwards
+        assert len(contexts) == 8
+        assert all(ctx.mapcache is not None for ctx in contexts)
+
+    def test_memoized_cold_prices_equal_a_cacheless_oracle(self, contexts):
+        from repro.core.engine import BaseEngine
+        from repro.robust.degrade import DEFAULT_QOS_LADDER
+        from repro.serve.cluster import LatencyOracle
+
+        qualities = [None] + [
+            DEFAULT_QOS_LADDER.quality_at(level)
+            for level in range(1, DEFAULT_QOS_LADDER.floor + 1)
+        ]
+        oracle = LatencyOracle(BaseEngine(), scale=self.SCALE, seed=3)
+        oracle.prewarm(
+            self.KITTI, [RTX_3090, RTX_2080TI], 2, qualities, warm=True
+        )
+        cold = [k for k in oracle._latency if not k[3]]
+        assert len(cold) == 2 * 2 * 2 * len(qualities)
+        cacheless = sum(ctx.mapcache is None for ctx in contexts)
+        # priced in reverse: cold prices do not depend on pricing order
+        fresh = LatencyOracle(BaseEngine(), scale=self.SCALE, seed=3)
+        for model, spec, n, _, quality in reversed(cold):
+            price = fresh.batch_latency(model, spec, n, quality=quality)
+            key = (model, spec, n, False, quality)
+            assert oracle._latency[key].hex() == price.hex(), key
+        # some priming forwards stood in for cold prices; others hit the
+        # cache (the INT8 rung, the second model over the same input)
+        # and the cold key ran its own cache-less forward
+        assert 0 < cacheless < len(cold)
+
+    def test_arrivals_price_each_budget_once_per_worker(self, monkeypatch):
+        from collections import Counter
+
+        from repro.serve.cluster import LatencyOracle
+        from repro.serve.server import Server
+
+        config = make_config()
+        server = Server(config, LatencyOracle(None, overrides=LAT))
+        calls = Counter()
+        base_latency = server.oracle.base_latency
+
+        def counting(model, spec, *args, **kwargs):
+            calls[model] += 1
+            return base_latency(model, spec, *args, **kwargs)
+
+        monkeypatch.setattr(server.oracle, "base_latency", counting)
+        traffic = make_traffic(models=("m", "big"), weights=(1.0, 1.0))
+        requests = generate_arrivals(traffic, server.deadline_for)
+        assert len(requests) > 100
+        assert set(calls) == {"m", "big"}
+        assert max(calls.values()) <= len(server.workers)
+        for r in requests:
+            budget = config.deadline_factor * LAT[r.model]
+            assert r.deadline == r.arrival + budget
+
+
 class TestSilentDataCorruption:
     """The fleet-level SDC hole and its ABFT fix (verify_integrity)."""
 

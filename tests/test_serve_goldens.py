@@ -13,8 +13,11 @@ digests in ``tests/data/serve_goldens.json`` pin all five for
   brownout, failure domains with a storm defense and an outage, spares
   with a durable store, and unverified silent corruption),
 
-plus one small engine-priced batched campaign that pins the latency
-oracle's pricing.  A refactor of the serve loop must keep every digest.
+plus two small engine-priced batched steady-state campaigns that pin
+the latency oracle's pricing: one model on two RTX 3090s, and two KITTI
+models sharing one input on an RTX 3090 and an RTX 2080Ti under
+brownout, whose warm prices take mapping-cache hits on their first
+forward.  A refactor of the serve loop must keep every digest.
 
 The module also checks that ``max_batch=1`` is the unbatched fleet:
 every request ends in the same state, at the same instant, on the same
@@ -120,8 +123,27 @@ ARMS = {
 }
 
 MATRIX = [f"{s}/{a}" for s in SCENARIOS for a in ARMS]
-ENGINE_CASE = "engine/b4-steady"
-CASES = MATRIX + [ENGINE_CASE]
+
+#: engine-priced case -> (ServeConfig kwargs, TrafficConfig kwargs,
+#: fault specs); no latency overrides, so the oracle prices forwards
+ENGINE_CASES = {
+    "engine/b4-steady": (
+        dict(devices=(RTX_3090, RTX_3090),
+             batching=BatchingConfig(max_batch=4), scale=0.04),
+        dict(rate=400.0, duration=0.2, models=("minkunet_0.5x_kitti",)),
+        [FaultSpec(kind="device_crash", count=2)],
+    ),
+    "engine/b2-steady-brownout": (
+        dict(devices=(RTX_3090, RTX_2080TI),
+             batching=BatchingConfig(max_batch=2), scale=0.04,
+             deadline_factor=5.0,
+             brownout=BrownoutConfig(interval=0.02)),
+        dict(rate=300.0, duration=0.3,
+             models=("minkunet_0.5x_kitti", "minkunet_1.0x_kitti")),
+        [],
+    ),
+}
+CASES = MATRIX + list(ENGINE_CASES)
 
 
 def _canonical(obj) -> str:
@@ -141,19 +163,10 @@ class CaseRun(NamedTuple):
 
 def run_case(case: str, store_root: str) -> CaseRun:
     """One golden case's campaign, with the digests of its outputs."""
-    if case == ENGINE_CASE:
-        config = ServeConfig(
-            devices=(RTX_3090, RTX_3090),
-            batching=BatchingConfig(max_batch=4),
-            steady_state=True,
-            scale=0.04,
-            seed=SEED,
-        )
-        traffic = TrafficConfig(
-            rate=400.0, duration=0.2, models=("minkunet_0.5x_kitti",),
-            seed=SEED, coherence=0.8,
-        )
-        specs = [FaultSpec(kind="device_crash", count=2)]
+    if case in ENGINE_CASES:
+        config_kw, traffic_kw, specs = ENGINE_CASES[case]
+        config = ServeConfig(steady_state=True, seed=SEED, **config_kw)
+        traffic = TrafficConfig(seed=SEED, coherence=0.8, **traffic_kw)
     else:
         scenario, arm = case.split("/")
         config_kw, traffic_kw, specs = SCENARIOS[scenario]
